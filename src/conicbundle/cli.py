@@ -9,6 +9,7 @@ no-verdict a machine-readable reason code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -20,12 +21,6 @@ from . import planner as pl
 from . import projline as pj
 from . import twist as tw
 from .errors import ConicBundleError, SchemaError
-
-SUBCOMMANDS = (
-    "decide-birational", "decide-iso", "decide-verytransitive",
-    "realizable-perms", "stabilizer", "twist", "verify-twist",
-    "geiser", "biconic-image", "lattice", "region-path", "selftest",
-)
 
 
 def _dump(obj) -> str:
@@ -329,8 +324,12 @@ _HANDLERS = {
     "region-path": _cmd_region_path,
 }
 
+SUBCOMMANDS = (*_HANDLERS, "selftest")
 
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by run()."""
     parser = argparse.ArgumentParser(
         prog="conicbundle",
         description="Exact decision procedures for real conic-bundle models.")

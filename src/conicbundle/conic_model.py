@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Optional
 
 from .errors import (
@@ -33,6 +32,7 @@ from .projline import (
     config_equiv,
     format_rat,
     parse_rat,
+    rational_sqrt,
     realizable_permutations,
 )
 
@@ -152,16 +152,6 @@ class ScalingIso:
         return SurfPoint(p.x, self.sqrt * p.y, self.sqrt * p.z)
 
 
-def _rational_sqrt(value: Rat) -> Optional[Rat]:
-    if value < 0:
-        return None
-    n, d = value.numerator, value.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
 def scaling_iso(model: ConicModel, qprime: RatPoly) -> ScalingIso:
     """The positive constant lam with qprime = lam * Q, as a point map."""
     q = model.q_poly()
@@ -172,7 +162,7 @@ def scaling_iso(model: ConicModel, qprime: RatPoly) -> ScalingIso:
         raise NotProportional(f"proportionality factor {lam} is not positive")
     if q * lam != qprime:
         raise NotProportional("polynomial is not a constant multiple of Q")
-    return ScalingIso(lam, _rational_sqrt(lam))
+    return ScalingIso(lam, rational_sqrt(lam))
 
 
 def component_index(model: ConicModel, p: SurfPoint) -> int:

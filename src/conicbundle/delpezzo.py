@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
 from typing import List, Optional, Tuple
 
 from .errors import (
@@ -32,8 +31,11 @@ from .projline import (
     ProjPoint,
     Rat,
     _walk_key,
+    clear_denominators,
     format_rat,
     parse_rat,
+    primitive,
+    rational_sqrt,
 )
 
 
@@ -81,11 +83,9 @@ class BinQuadForm:
         d = self.disc
         if d < 0:
             return []
-        n, den = d.numerator, d.denominator
-        rn, rd = isqrt(n), isqrt(den)
-        if rn * rn != n or rd * rd != den:
+        sq = rational_sqrt(d)
+        if sq is None:
             raise IrrationalBoundary(f"form has irrational real roots (disc {d})")
-        sq = Fraction(rn, rd)
         first = (-self.be + sq) / (2 * self.al)
         second = (-self.be - sq) / (2 * self.al)
         if first == second:
@@ -164,20 +164,6 @@ class BiconicModel:
                             int(obj.get("k", 0)))
 
 
-def _normalize_xyz(xyz) -> tuple:
-    x, y, z = (int(v) for v in xyz)
-    if x == 0 and y == 0 and z == 0:
-        raise InvalidModel("(0 : 0 : 0) is not a point of the plane")
-    g = gcd(gcd(abs(x), abs(y)), abs(z))
-    x, y, z = x // g, y // g, z // g
-    for v in (x, y, z):
-        if v != 0:
-            if v < 0:
-                x, y, z = -x, -y, -z
-            break
-    return x, y, z
-
-
 @dataclass(frozen=True)
 class BiPoint:
     """A point ((x : y : z), t) of the surface inside P^2 x P^1."""
@@ -186,7 +172,10 @@ class BiPoint:
     t: ProjPoint
 
     def __post_init__(self):
-        object.__setattr__(self, "xyz", _normalize_xyz(self.xyz))
+        x, y, z = (int(v) for v in self.xyz)
+        if x == 0 and y == 0 and z == 0:
+            raise InvalidModel("(0 : 0 : 0) is not a point of the plane")
+        object.__setattr__(self, "xyz", primitive(x, y, z))
 
     def as_json(self) -> dict:
         return {"xyz": [str(v) for v in self.xyz],
@@ -209,11 +198,7 @@ def _interval_form(arc: Interval) -> BinQuadForm:
     # -(a - s b)(a - e b), cleared to integers: vanishes at the boundary and
     # is non-negative exactly on the arc (which excludes infinity).
     s, e = arc.start.to_rat(), arc.end.to_rat()
-    al, be, ga = Fraction(-1), s + e, -s * e
-    lcm = 1
-    for q in (be, ga):
-        lcm = lcm * q.denominator // gcd(lcm, q.denominator)
-    return BinQuadForm(al * lcm, be * lcm, ga * lcm)
+    return BinQuadForm(*clear_denominators((-1, s + e, -s * e)))
 
 
 def biconic_from_config(config: IntervalConfig) -> BiconicModel:
@@ -321,8 +306,7 @@ def geiser(model: BiconicModel, p: BiPoint) -> BiPoint:
         qq = Fraction(c_coef)
     if pp == 0 and qq == 0:
         raise Unsupported("fiber quadratic vanishes identically over this point")
-    den = pp.denominator * qq.denominator // gcd(pp.denominator, qq.denominator)
-    return BiPoint(p.xyz, ProjPoint(int(qq * den), int(pp * den)))
+    return BiPoint(p.xyz, ProjPoint(*clear_denominators((qq, pp))))
 
 
 def second_fibration(model: BiconicModel, p: BiPoint) -> ProjPoint:
@@ -345,22 +329,12 @@ def _conic_point(c1: int, c2: int, c3: int, bound: int) -> Optional[tuple]:
     return None
 
 
-def _clear_to_int(values) -> tuple:
-    lcm = 1
-    for v in values:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in values]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return tuple(v // g for v in ints) if g else tuple(ints)
-
-
 def fiber_points(model: BiconicModel, t: ProjPoint, want: int = 6,
                  bound: int = 20) -> list:
     """Rational points of the conic fiber over t, via one found point and
     the line parametrization through it."""
-    c1, c2, c3 = _clear_to_int([Fraction(v) for v in model.values_at(t)])
+    # c and -c define the same conic, and BiPoint normalizes the sign.
+    c1, c2, c3 = primitive(*clear_denominators(model.values_at(t)))
     base = _conic_point(c1, c2, c3, bound)
     if base is None:
         return []

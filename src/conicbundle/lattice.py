@@ -122,7 +122,8 @@ def conic_fiber_partner(m: int, f1: PicVector) -> PicVector:
         raise NotAFiberClass(f"{f1} is not a conic fiber class")
     c = 4 // intersect(k, k)
     f2 = -c * k - f1
-    assert intersect(f2, f2) == 0 and intersect(f2, k) == -2
+    if intersect(f2, f2) != 0 or intersect(f2, k) != -2:
+        raise AssertionError(f"partner {f2} is not a conic fiber class")
     return f2
 
 

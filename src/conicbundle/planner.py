@@ -265,5 +265,6 @@ def find_rect_path(region: Region, start, end,
         state = parent.get(state)
     points.reverse()
     path = SegPath(tuple(_segment_points(points)))
-    assert validate_path(region, path, start, end, fx, fy)
+    if not validate_path(region, path, start, end, fx, fy):
+        raise AssertionError("planner produced a path that fails validation")
     return path

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-Rat = Fraction
+from .projline import Rat, format_rat, parse_rat
 
 NEG_INF = float("-inf")
 
@@ -93,12 +93,10 @@ class RatPoly:
         return poly
 
     def as_json(self) -> list:
-        from .projline import format_rat
         return [format_rat(c) for c in self.coeffs]
 
     @staticmethod
     def from_json(tokens) -> "RatPoly":
-        from .projline import parse_rat
         return RatPoly(tuple(parse_rat(t) for t in tokens))
 
     def __repr__(self):

@@ -225,12 +225,16 @@ def twist_from_rotations(model: ConicModel, rotation_nodes: Sequence,
     twist = TwistMap(base, interpolate(nodes))
 
     for x, rot in zip(node_xs, rotations):
-        assert twist.fiber_rotation(x) == rot
+        if twist.fiber_rotation(x) != rot:
+            raise AssertionError(f"twist misses the prescribed rotation over x = {x}")
     for b in pin_list:
-        assert twist.fiber_rotation(b).is_identity
+        if not twist.fiber_rotation(b).is_identity:
+            raise AssertionError(f"twist moves the pinned fiber x = {b}")
     for x0, mu0 in jet_list:
-        assert twist.fiber_rotation(x0).is_identity
-        assert tangent_coefficient(twist, x0) == 2 * mu0
+        if not twist.fiber_rotation(x0).is_identity:
+            raise AssertionError(f"twist moves the jet fiber x = {x0}")
+        if tangent_coefficient(twist, x0) != 2 * mu0:
+            raise AssertionError(f"twist misses the prescribed jet at x = {x0}")
     return twist
 
 
@@ -344,31 +348,23 @@ class TwistReport:
 
 
 def verify_twist(model: ConicModel, twist: TwistMap) -> TwistReport:
-    """Certify orthogonality, membership preservation and invertibility."""
-    failures = []
+    """Certify the base rotation, membership preservation and invertibility.
+
+    psi(lambda(x)) is a rotation for every lambda by construction, so only
+    the base rotation R0 needs an orthogonality check.
+    """
     base = twist.base
     if base.c * base.c + base.s * base.s != 1:
-        failures.append("orthogonality: base rotation has c^2 + s^2 != 1")
-    lam = twist.lam
-    one = RatPoly.one()
-    lhs = (one - lam * lam) * (one - lam * lam) + (2 * lam) * (2 * lam)
-    rhs = (one + lam * lam) * (one + lam * lam)
-    if not (lhs - rhs).is_zero:
-        failures.append("orthogonality: (1-l^2)^2 + (2l)^2 != (1+l^2)^2")
-    if failures:
         # without orthogonality the fiber maps are not rotations at all
-        return TwistReport(False, tuple(failures), 0)
+        return TwistReport(False, ("orthogonality: base rotation has c^2 + s^2 != 1",), 0)
+    failures = []
     inv = inverse_twist(twist)
     points = sample_surface_points(model)
     for p in points:
         y, z = twist.fiber_rotation(p.x).apply(p.y, p.z)
-        image = SurfPoint(p.x, y, z)
-        if image.x != p.x:
-            failures.append(f"fiber preservation broken over x = {p.x}")
-        if not on_surface(model, image):
+        if not on_surface(model, SurfPoint(p.x, y, z)):
             failures.append(f"membership broken over x = {p.x}")
             continue
-        back = apply_twist(model, inv, image)
-        if back != p:
+        if inv.fiber_rotation(p.x).apply(y, z) != (p.y, p.z):
             failures.append(f"inverse does not undo the twist over x = {p.x}")
     return TwistReport(not failures, tuple(failures), len(points))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,15 @@ from conicbundle import (
     stabilizer,
 )
 from conicbundle.errors import InfiniteStabilizer, InvalidTriple, ParseError
-from conicbundle.projline import INF, ONE, ZERO, interval_image
+from conicbundle.projline import (
+    INF,
+    ONE,
+    ZERO,
+    clear_denominators,
+    interval_image,
+    primitive,
+    rational_sqrt,
+)
 
 import support
 
@@ -51,6 +60,44 @@ def test_parse_rejects_bad_tokens(bad):
 def test_parse_error_names_token():
     with pytest.raises(ParseError, match="2/4"):
         parse_rat("2/4")
+
+
+# -- exact kernels -----------------------------------------------------------
+
+int_vectors = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4)
+wide_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+
+
+@given(int_vectors, st.integers(-50, 50).filter(bool))
+def test_primitive_is_reduced_and_scale_invariant(ints, scale):
+    got = primitive(*ints)
+    if not any(ints):
+        assert got == tuple(ints)
+        return
+    assert gcd(*got) == 1
+    k = next(i for i, v in enumerate(ints) if v)
+    assert got[k] > 0 and not any(got[:k])
+    assert all(v * got[k] == g * ints[k] for v, g in zip(ints, got))
+    assert primitive(*(scale * v for v in ints)) == got
+
+
+@given(st.lists(wide_rationals, min_size=1, max_size=4))
+def test_clear_denominators_keeps_ratios_and_signs(values):
+    got = clear_denominators(values)
+    assert all(type(g) is int for g in got)
+    assert [(g > 0) - (g < 0) for g in got] == [(v > 0) - (v < 0) for v in values]
+    assert len({g / v for g, v in zip(got, values) if v}) <= 1
+
+
+@given(wide_rationals)
+def test_rational_sqrt_of_a_square(q):
+    assert rational_sqrt(q * q) == abs(q)
+
+
+@given(wide_rationals)
+def test_rational_sqrt_is_exact_or_none(q):
+    root = rational_sqrt(q)
+    assert root is None or (root >= 0 and root * root == q)
 
 
 # -- points ------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Twisting maps: rotations, charts, interpolation, synthesis, verification."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import conicbundle
 from conicbundle import (
     ConicModel,
     RatPoly,
@@ -390,6 +395,28 @@ def test_verify_twist_flags_corrupted_base():
     report = verify_twist(model, corrupted)
     assert not report.passed
     assert any("orthogonality" in f for f in report.failures)
+
+
+def test_postcondition_survives_optimize_flag():
+    # Under python -O a bare assert vanishes; the synthesis postcondition
+    # must still reject an interpolant that misses its pinned fiber.
+    script = "\n".join([
+        "from fractions import Fraction",
+        "from conicbundle import ConicModel, RatPoly, twist",
+        "assert False, 'asserts are live: not running under -O'",
+        "interpolate = twist.interpolate",
+        "twist.interpolate = lambda nodes: interpolate(nodes) + RatPoly.one()",
+        "try:",
+        "    twist.synthesize_twist(ConicModel((0, 1)), [], pins=[Fraction(1, 2)])",
+        "except AssertionError as exc:",
+        "    print('raised:', exc)",
+    ])
+    src = str(Path(conicbundle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: twist moves the pinned fiber")
 
 
 def test_inverse_twist_composes_to_identity():
