@@ -31,7 +31,9 @@ def _need(payload: dict, field: str, kind=None):
     if not isinstance(payload, dict) or field not in payload:
         raise SchemaError(field, "missing required field")
     value = payload[field]
-    if kind is not None and not isinstance(value, kind):
+    # bool is a subclass of int, but true is not a number
+    if kind is not None and (not isinstance(value, kind)
+                             or (kind is int and isinstance(value, bool))):
         raise SchemaError(field, f"expected {kind.__name__}")
     return value
 

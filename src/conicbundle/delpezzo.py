@@ -183,9 +183,8 @@ class BiPoint:
 
     @staticmethod
     def from_json(obj: dict) -> "BiPoint":
-        t = obj["t"]
-        return BiPoint(tuple(int(v) for v in obj["xyz"]),
-                       ProjPoint(int(t[0]), int(t[1])))
+        t0, t1 = obj["t"]
+        return BiPoint(tuple(int(v) for v in obj["xyz"]), ProjPoint(int(t0), int(t1)))
 
 
 def on_biconic(model: BiconicModel, p: BiPoint) -> bool:

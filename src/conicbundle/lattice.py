@@ -146,9 +146,6 @@ class ClassPerm:
         if sorted(self.mapping) != list(range(len(self.classes))):
             raise ValueError("mapping is not a permutation of the class list")
 
-    def image_index(self, i: int) -> int:
-        return self.mapping[i]
-
     def image_of(self, v: PicVector) -> PicVector:
         return self.classes[self.mapping[self.classes.index(v)]]
 

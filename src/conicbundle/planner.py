@@ -1,10 +1,12 @@
 """Rectilinear path planning inside a union of axis-aligned rectangles.
 
 The region is cut by every rectangle edge, every forbidden line and the two
-endpoints into a rational grid (cut values plus gap midpoints).  Membership
-is constant on each grid cell, so breadth-first search over grid moves with
-exact midpoint tests decides reachability; the returned polyline is merged
-into alternating horizontal and vertical segments and re-validated exactly.
+endpoints into a rational grid (cut values plus gap midpoints).  Every grid
+move joins a cut value to the midpoint of an adjacent gap, and membership is
+constant on each open gap, so a move lies in the region exactly when both of
+its ends do.  A search over grid moves that minimizes turns, then steps,
+decides reachability; the returned polyline is merged into alternating
+horizontal and vertical segments and re-validated exactly.
 Vertical moves never run along a forbidden x-line, horizontal moves never
 along a forbidden y-line.
 """
@@ -246,9 +248,6 @@ def find_rect_path(region: Region, start, end,
             if naxis == 1 and xs[i] in fx:
                 continue
             if naxis == 0 and ys[j] in fy:
-                continue
-            mid = ((xs[i] + xs[ni]) / 2, (ys[j] + ys[nj]) / 2)
-            if not region.contains(mid):
                 continue
             ncost = (turns + (1 if axis not in (-1, naxis) else 0), steps + 1)
             nstate = (ni, nj, naxis)

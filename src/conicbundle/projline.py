@@ -27,6 +27,8 @@ _RAT_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
 def parse_rat(token: str) -> Rat:
     """Parse a canonical rational token "p" or "p/q" (q positive, coprime)."""
+    if not isinstance(token, str):
+        raise ParseError(f"not a rational token: {token!r}")
     m = _RAT_RE.match(token.strip())
     if m is None:
         raise ParseError(f"not a rational token: {token!r}")
@@ -131,7 +133,7 @@ class ProjPoint:
 
     @staticmethod
     def from_token(token: str) -> "ProjPoint":
-        if token.strip() == "inf":
+        if isinstance(token, str) and token.strip() == "inf":
             return ProjPoint.infinity()
         return ProjPoint.from_rat(parse_rat(token))
 
@@ -371,15 +373,36 @@ def _match_intervals(m: Moebius, source: IntervalConfig, target: IntervalConfig)
     return tuple(nu)
 
 
+def _dihedral_maps(src: list, dst: list) -> Iterator[Moebius]:
+    """Moebius maps sending the cyclically ordered points src onto dst in order.
+
+    A Moebius map is a homeomorphism of the circle P^1(R), so it keeps or
+    reverses cyclic order: any map sending the set src onto the set dst sends
+    src[i] to dst[(k + sign * i) % n] for one rotation k and one sign.  Each
+    of these 2n correspondences fixes the images of src[:3] and hence at most
+    one map, which is yielded when it also sends every remaining point to its
+    place.  Rotations come first, then reversals, each in ascending k.  For
+    n >= 3 distinct correspondences have distinct target triples, so no map
+    is yielded twice.
+    """
+    n = len(src)
+    for sign in (1, -1):
+        for k in range(n):
+            targets = [dst[(k + sign * i) % n] for i in range(n)]
+            m = moebius_from_triples(*src[:3], *targets[:3])
+            if all(m.apply(p) == q for p, q in zip(src[3:], targets[3:])):
+                yield m
+
+
 def _equiv_candidates(c1: IntervalConfig, c2: IntervalConfig) -> Iterator[tuple]:
     """Yield verified (moebius, nu) pairs mapping c1 onto c2.
 
-    Any witness must send the 2r boundary points of c1 to those of c2
-    respecting the cyclic order up to rotation (orientation +1) or reversal
-    (orientation -1), so at most 2*(2r) candidate correspondences exist.
-    Candidates are built from the first three boundary pairs and verified on
-    everything else.  Orientation-preserving candidates come first, then each
-    rotation in ascending order, so the first witness is reproducible.
+    A witness sends the 2r boundary points of c1 onto those of c2 and keeps
+    or reverses their cyclic order, so for r >= 2 the candidates are the
+    maps of _dihedral_maps on the boundary points, in its order: the first
+    witness is reproducible.  For r = 1 the two boundary points fix no map,
+    so each arc's interior point is the third point and the two ends are
+    matched both ways.
     """
     if c1.r != c2.r:
         return
@@ -388,34 +411,18 @@ def _equiv_candidates(c1: IntervalConfig, c2: IntervalConfig) -> Iterator[tuple]
         return
     b1 = c1.boundary_points()
     b2 = c2.boundary_points()
-    n = len(b1)
     if c1.r == 1:
+        # interior points differ from the arc ends, so neither triple repeats
         i1 = c1.intervals[0].interior_point()
         i2 = c2.intervals[0].interior_point()
-        assignments = [(b2[0], b2[1]), (b2[1], b2[0])]
-        for t0, t1 in assignments:
-            try:
-                m = moebius_from_triples(b1[0], b1[1], i1, t0, t1, i2)
-            except InvalidTriple:
-                continue
-            nu = _match_intervals(m, c1, c2)
-            if nu is not None:
-                yield m, nu
-        return
-    seen = set()
-    for sign in (1, -1):
-        for k in range(n):
-            targets = [b2[(k + sign * i) % n] for i in range(n)]
-            m = moebius_from_triples(b1[0], b1[1], b1[2], targets[0], targets[1], targets[2])
-            if any(m.apply(b1[i]) != targets[i] for i in range(3, n)):
-                continue
-            key = (m.a, m.b, m.c, m.d)
-            if key in seen:
-                continue
-            seen.add(key)
-            nu = _match_intervals(m, c1, c2)
-            if nu is not None:
-                yield m, nu
+        candidates = (moebius_from_triples(b1[0], b1[1], i1, t0, t1, i2)
+                      for t0, t1 in ((b2[0], b2[1]), (b2[1], b2[0])))
+    else:
+        candidates = _dihedral_maps(b1, b2)
+    for m in candidates:
+        nu = _match_intervals(m, c1, c2)
+        if nu is not None:
+            yield m, nu
 
 
 def config_equiv(c1: IntervalConfig, c2: IntervalConfig,
@@ -450,23 +457,12 @@ def realizable_permutations(c: IntervalConfig) -> dict:
 def stabilizer(points: Iterable) -> list:
     """The finite group of Moebius maps preserving a point set of size >= 3.
 
-    Every stabilizing map sends ordered triples of the set to ordered
-    triples, so enumerating the images of one fixed triple is exhaustive.
+    A stabilizing map keeps or reverses the cyclic order of the set, so it
+    is one of the at most 2n maps _dihedral_maps yields from the set onto
+    itself.  The maps are returned sorted by matrix entries.
     """
     pts = sorted(set(points), key=_walk_key)
     if len(pts) < 3:
         raise InfiniteStabilizer(f"{len(pts)} points span an infinite stabilizer")
-    base = pts[:3]
-    found = {}
-    pset = set(pts)
-    for t0 in pts:
-        for t1 in pts:
-            if t1 == t0:
-                continue
-            for t2 in pts:
-                if t2 == t0 or t2 == t1:
-                    continue
-                m = moebius_from_triples(base[0], base[1], base[2], t0, t1, t2)
-                if {m.apply(p) for p in pts} == pset:
-                    found.setdefault((m.a, m.b, m.c, m.d), m)
+    found = {(m.a, m.b, m.c, m.d): m for m in _dihedral_maps(pts, pts)}
     return [found[k] for k in sorted(found)]

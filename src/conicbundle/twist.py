@@ -279,13 +279,14 @@ def tangent_coefficient(twist: TwistMap, x0: Rat) -> Rat:
     kappa of the linearized action [y] -> [y] - kappa [x] on the blown-up
     directions.
     """
-    lam = twist.lam
-    one = RatPoly.one()
-    numer = twist.base.s * (one - lam * lam) + twist.base.c * (2 * lam)
-    denom = one + lam * lam
-    derivative = numer.derivative() * denom - numer * denom.derivative()
+    # The sine entry is (s (1 - l^2) + 2 c l) / (1 + l^2) with l = lambda(x)
+    # and (c, s) the base rotation; its l-derivative is
+    # (2 c (1 - l^2) - 4 s l) / (1 + l^2)^2, times lambda'(x) by the chain rule.
     x0 = Fraction(x0)
-    return derivative.evaluate(x0) / (denom.evaluate(x0) ** 2)
+    lam = twist.lam.evaluate(x0)
+    c, s = twist.base.c, twist.base.s
+    return (twist.lam.derivative().evaluate(x0)
+            * (2 * c * (1 - lam * lam) - 4 * s * lam) / (1 + lam * lam) ** 2)
 
 
 def _rational_circle_point(rho: Rat) -> Optional[Tuple[Rat, Rat]]:

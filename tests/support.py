@@ -1,13 +1,18 @@
-"""Shared oracles and random generators for the test suite.
+"""Shared oracles, random generators and a subprocess runner for the tests.
 
 The oracles here deliberately avoid the library's own decision paths: the
-configuration oracle enumerates every ordered boundary triple and verifies
-membership sample by sample, and the planner oracle is a plain flood fill
-over a boolean grid.
+configuration and stabilizer oracles enumerate every ordered triple and
+verify each candidate on the whole set, and the planner oracle is a plain
+flood fill over a boolean grid.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import conicbundle
 from conicbundle import (
     ConicModel,
     IntervalConfig,
@@ -17,7 +22,16 @@ from conicbundle import (
     find_fiber_point,
     moebius_from_triples,
 )
-from conicbundle.errors import InvalidTriple
+from conicbundle.errors import InfiniteStabilizer, InvalidTriple
+from conicbundle.projline import _walk_key
+
+
+def run_python(*args, stdin=None):
+    """A fresh interpreter run with this checkout's conicbundle importable."""
+    env = dict(os.environ, PYTHONPATH=str(Path(conicbundle.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, input=stdin,
+                          capture_output=True, text=True, timeout=60)
+
 
 # ---------------------------------------------------------------------------
 # Configuration-equivalence oracle: try every ordered boundary triple.
@@ -90,6 +104,28 @@ def oracle_equiv(c1, c2, nu=None):
         if nu is None or found == tuple(nu):
             return m, found
     return None
+
+
+def oracle_stabilizer(points):
+    """The stabilizer by brute force: every ordered triple as the image of
+    the first three points, each candidate tested on the whole set."""
+    pts = sorted(set(points), key=_walk_key)
+    if len(pts) < 3:
+        raise InfiniteStabilizer(f"{len(pts)} points span an infinite stabilizer")
+    base = pts[:3]
+    found = {}
+    pset = set(pts)
+    for t0 in pts:
+        for t1 in pts:
+            if t1 == t0:
+                continue
+            for t2 in pts:
+                if t2 == t0 or t2 == t1:
+                    continue
+                m = moebius_from_triples(base[0], base[1], base[2], t0, t1, t2)
+                if {m.apply(p) for p in pts} == pset:
+                    found.setdefault((m.a, m.b, m.c, m.d), m)
+    return [found[k] for k in sorted(found)]
 
 
 def witness_maps_config(m, c1, c2, nu):

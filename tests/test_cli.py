@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from conicbundle import (
     ConicModel,
     IntervalConfig,
@@ -216,6 +218,27 @@ def test_non_coprime_token_rejected(capsys):
     code, out, err = invoke(capsys, "realizable-perms", {"config": [["2/4", "1"]]})
     assert code == 2
     assert "2/4" in err
+
+
+BICONIC = {"m1": ["-1", "1", "0"], "m2": ["-1", "0", "-1"], "m3": ["-1", "0", "-2"], "k": 1}
+UNIT = {"roots": ["0", "1"]}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("decide-birational", {"model1": {"roots": [0, 1]}, "model2": UNIT}),
+    ("stabilizer", {"points": [0, 1, 2]}),
+    ("twist", {"model": UNIT, "pins": [1]}),
+    ("region-path", {"rects": [[[0, 1], [0, 1]]], "start": ["0", "0"], "end": ["1", "1"]}),
+    ("verify-twist", {"model": UNIT, "twist": {"base": {"c": 1, "s": "0"}, "lambda": []}}),
+    ("geiser", {"model": BICONIC, "point": {"xyz": ["3", "0", "1"], "t": ["1"]}}),
+    ("lattice", {"m": True}),
+], ids=["number-root", "number-point", "number-pin", "number-bound", "number-rotation",
+        "short-t", "bool-m"])
+def test_malformed_input_is_data_error_without_traceback(command, payload):
+    proc = support.run_python("-m", "conicbundle.cli", command, stdin=json.dumps(payload))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -145,6 +145,23 @@ def test_segpath_structural_invariants():
         SegPath((Segment((0, 0), (1, 0)), Segment((1, 0), (2, 0))))  # no turn
 
 
+def test_postcondition_survives_optimize_flag():
+    # Under python -O a bare assert vanishes; the planner must still refuse
+    # to return a path that fails validation.
+    script = "\n".join([
+        "from conicbundle import planner",
+        "assert False, 'asserts are live: not running under -O'",
+        "planner.validate_path = lambda *args: False",
+        "try:",
+        "    planner.find_rect_path(planner.Region((planner.Rect(0, 2, 0, 1),)), (0, 0), (2, 1))",
+        "except AssertionError as exc:",
+        "    print('raised:', exc)",
+    ])
+    proc = support.run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: planner produced a path that fails validation")
+
+
 # -- oracle agreement ---------------------------------------------------------------
 
 def test_path_finder_agrees_with_flood_fill():

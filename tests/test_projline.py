@@ -479,6 +479,42 @@ def test_stabilizer_symmetric_four_points():
             assert m1.compose(m2) in maps
 
 
+# Generators of cyclic subgroups of PGL_2(Q), keyed by their order.
+CYCLIC_GENERATORS = {2: Moebius(0, 1, 1, 0), 3: Moebius(0, 1, -1, -1),
+                     4: Moebius(1, 1, -1, 1), 6: Moebius(1, 1, -1, 0)}
+
+
+def _orbit_union(rng, g, orbits):
+    pts = set()
+    for _ in range(orbits):
+        p = pt(Fraction(rng.randint(-30, 30), rng.randint(1, 5)))
+        while p not in pts:
+            pts.add(p)
+            p = g.apply(p)
+    return pts
+
+
+def test_stabilizer_matches_oracle():
+    rng = random.Random(29)
+    cases = []
+    for order, g in CYCLIC_GENERATORS.items():
+        for _ in range(8):
+            pts = _orbit_union(rng, g, rng.randint(-(-3 // order), 10 // order))
+            if len(pts) >= 3:
+                h = support.random_moebius(rng)
+                cases.append(({h.apply(p) for p in pts}, order))
+    for n in range(3, 11):
+        for _ in range(4):
+            pts = {pt(Fraction(rng.randint(-30, 30), rng.randint(1, 5))) for _ in range(n)}
+            if rng.random() < 0.4:
+                pts.add(INF)
+            cases.append((pts, 1))
+    for pts, order in cases:
+        maps = stabilizer(pts)
+        assert maps == support.oracle_stabilizer(pts)
+        assert len(maps) % order == 0
+
+
 def test_stabilizer_too_few_points():
     with pytest.raises(InfiniteStabilizer):
         stabilizer([ZERO, ONE])

@@ -1,15 +1,10 @@
 """Twisting maps: rotations, charts, interpolation, synthesis, verification."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import conicbundle
 from conicbundle import (
     ConicModel,
     RatPoly,
@@ -338,6 +333,31 @@ def test_jet_finite_difference_spot_check():
     assert abs(fd - float(kappa)) <= 1e-3 * abs(float(kappa))
 
 
+def reference_tangent_coefficient(twist, x0):
+    # The quotient rule on the degree-2d numerator and denominator polynomials.
+    lam = twist.lam
+    one = RatPoly.one()
+    numer = twist.base.s * (one - lam * lam) + twist.base.c * (2 * lam)
+    denom = one + lam * lam
+    derivative = numer.derivative() * denom - numer * denom.derivative()
+    x0 = Fraction(x0)
+    return derivative.evaluate(x0) / (denom.evaluate(x0) ** 2)
+
+
+def test_tangent_coefficient_matches_quotient_rule():
+    rng = random.Random(17)
+    supply = rotation_supply()
+    bases = [next(supply) for _ in range(5)]
+    bases += [Rotation(-b.s, b.c) for b in bases] + [b.inverse() for b in bases]
+    for _ in range(200):
+        degree = rng.randint(0, 5)
+        lam = RatPoly(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                            for _ in range(degree + 1)))
+        twist = TwistMap(rng.choice(bases), lam)
+        x0 = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+        assert tangent_coefficient(twist, x0) == reference_tangent_coefficient(twist, x0)
+
+
 def test_jet_collision_with_pair():
     model = unit_model()
     p = SurfPoint(Fraction(1, 2), Fraction(1, 2), 0)
@@ -411,10 +431,7 @@ def test_postcondition_survives_optimize_flag():
         "except AssertionError as exc:",
         "    print('raised:', exc)",
     ])
-    src = str(Path(conicbundle.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = support.run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: twist moves the pinned fiber")
 
