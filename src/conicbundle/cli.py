@@ -14,6 +14,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import islice
 from . import conic_model as cm
 from . import delpezzo as dp
 from . import lattice as lat
@@ -104,20 +105,20 @@ def _cmd_stabilizer(payload: dict):
     return 0, {"order": len(maps), "stabilizer": [m.as_json() for m in maps]}
 
 
-def _parse_pairs(payload: dict):
+def _pairs(payload: dict, field: str, decode) -> list:
     pairs = []
-    for entry in payload.get("pairs", []):
+    for entry in payload.get(field, []):
         if not isinstance(entry, list) or len(entry) != 2:
-            raise SchemaError("pairs", "each entry must be a [source, target] pair")
-        pairs.append((cm.SurfPoint.from_json(entry[0]), cm.SurfPoint.from_json(entry[1])))
+            raise SchemaError(field, "each entry must be a two-entry list")
+        pairs.append((decode(entry[0]), decode(entry[1])))
     return pairs
 
 
 def _cmd_twist(payload: dict):
     model = cm.ConicModel.from_json(_need(payload, "model", dict))
-    pairs = _parse_pairs(payload)
+    pairs = _pairs(payload, "pairs", cm.SurfPoint.from_json)
     pins = [pj.parse_rat(t) for t in payload.get("pins", [])]
-    jets = [(pj.parse_rat(x), pj.parse_rat(mu)) for x, mu in payload.get("jets", [])]
+    jets = _pairs(payload, "jets", pj.parse_rat)
     twist = tw.synthesize_twist(model, pairs, pins=pins, jets=jets)
     report = tw.verify_twist(model, twist)
     return 0, {"twist": twist.as_json(),
@@ -148,6 +149,8 @@ def _cmd_geiser(payload: dict):
 def _cmd_biconic_image(payload: dict):
     model = dp.BiconicModel.from_json(_need(payload, "model", dict))
     config = dp.biconic_interval_image(model)
+    if model.k != config.r:
+        raise SchemaError("model.k", f"declares {model.k} intervals, the real image has {config.r}")
     return 0, {"config": config.as_json(), "r": config.r}
 
 
@@ -230,15 +233,11 @@ def _selftest(seed: int) -> dict:
              tw.Rotation(Fraction(5, 13), Fraction(12, 13))]
     for roots in ((0, 1), (0, 1, 2, 3), (-2, -1, 1, 2), (0, 1, 4, 5, 8, 9)):
         model = cm.ConicModel(tuple(Fraction(a) for a in roots))
-        fibers = [p for p in tw.sample_surface_points(model, per_interval=1)
-                  if model.q_at(p.x) > 0]
-        unique = []
-        for p in fibers:
-            if all(p.x != q.x for q in unique):
-                unique.append(p)
+        fibers = [p for lo, hi in zip(model.roots[::2], model.roots[1::2])
+                  for p in islice(tw.ladder_fibers(model, lo, hi), 1)]
         for _ in range(2):
             cases += 1
-            chosen = unique[:rng.randint(1, len(unique))]
+            chosen = fibers[:rng.randint(1, len(fibers))]
             pairs = []
             for p in chosen:
                 y, z = rng.choice(spins).apply(p.y, p.z)

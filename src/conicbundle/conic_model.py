@@ -19,6 +19,7 @@ from .errors import (
     MoveInfinityFirst,
     NotOnSurface,
     NotProportional,
+    SchemaError,
 )
 from .polynomial import RatPoly
 from .projline import (
@@ -81,6 +82,8 @@ class ConicModel:
 
     @staticmethod
     def from_json(obj: dict) -> "ConicModel":
+        if not isinstance(obj["roots"], list):
+            raise SchemaError("roots", "expected a list of rational tokens")
         return ConicModel(tuple(parse_rat(t) for t in obj["roots"]))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import List, Optional, Tuple
 
 from .errors import (
@@ -26,6 +27,8 @@ from .errors import (
 )
 from .projline import (
     INF,
+    ONE,
+    ZERO,
     Interval,
     IntervalConfig,
     ProjPoint,
@@ -33,6 +36,8 @@ from .projline import (
     _walk_key,
     clear_denominators,
     format_rat,
+    ladder,
+    moebius_from_triples,
     parse_rat,
     primitive,
     rational_sqrt,
@@ -100,27 +105,10 @@ class BinQuadForm:
         return BinQuadForm(*(parse_rat(t) for t in triple))
 
 
-def _det3(m) -> Rat:
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
 def resultant(f: BinQuadForm, g: BinQuadForm) -> Rat:
     """Sylvester resultant; zero exactly when the forms share a root."""
-    rows = [
-        [f.al, f.be, f.ga, Fraction(0)],
-        [Fraction(0), f.al, f.be, f.ga],
-        [g.al, g.be, g.ga, Fraction(0)],
-        [Fraction(0), g.al, g.be, g.ga],
-    ]
-    total = Fraction(0)
-    for col in range(4):
-        if rows[0][col] == 0:
-            continue
-        minor = [[rows[r][c] for c in range(4) if c != col] for r in range(1, 4)]
-        total += (-1) ** col * rows[0][col] * _det3(minor)
-    return total
+    return ((f.al * g.ga - g.al * f.ga) ** 2
+            - (f.al * g.be - g.al * f.be) * (f.be * g.ga - g.be * f.ga))
 
 
 @dataclass(frozen=True)
@@ -313,9 +301,13 @@ def second_fibration(model: BiconicModel, p: BiPoint) -> ProjPoint:
     return geiser(model, p).t
 
 
-def _conic_point(c1: int, c2: int, c3: int, bound: int) -> Optional[tuple]:
+_CONIC_BOUND = 20  # box size of the rational point search on a fiber conic
+_WITNESS_BUDGET = 40  # fibers the foliation witness search tries at most
+
+
+def _conic_point(c1: int, c2: int, c3: int) -> Optional[tuple]:
     # First rational point on c1 x^2 + c2 y^2 + c3 z^2 = 0 in a growing box.
-    for h in range(1, bound + 1):
+    for h in range(1, _CONIC_BOUND + 1):
         for x in range(0, h + 1):
             for y in range(-h, h + 1):
                 for z in range(-h, h + 1):
@@ -328,13 +320,12 @@ def _conic_point(c1: int, c2: int, c3: int, bound: int) -> Optional[tuple]:
     return None
 
 
-def fiber_points(model: BiconicModel, t: ProjPoint, want: int = 6,
-                 bound: int = 20) -> list:
+def fiber_points(model: BiconicModel, t: ProjPoint, want: int = 6) -> list:
     """Rational points of the conic fiber over t, via one found point and
     the line parametrization through it."""
     # c and -c define the same conic, and BiPoint normalizes the sign.
     c1, c2, c3 = primitive(*clear_denominators(model.values_at(t)))
-    base = _conic_point(c1, c2, c3, bound)
+    base = _conic_point(c1, c2, c3)
     if base is None:
         return []
 
@@ -344,13 +335,11 @@ def fiber_points(model: BiconicModel, t: ProjPoint, want: int = 6,
     def bilinear(u, v) -> int:
         return 2 * (c1 * u[0] * v[0] + c2 * u[1] * v[1] + c3 * u[2] * v[2])
 
-    # Two coordinate axes completing base to a basis span the pencil of
-    # lines through it.
+    # The two coordinate axes other than the last nonzero coordinate of base
+    # complete it to a basis, so they span the pencil of lines through it.
+    last = max(i for i in range(3) if base[i])
     axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    basis = next(
-        (axes[i], axes[j])
-        for i in range(3) for j in range(i + 1, 3)
-        if _det3([list(base), list(axes[i]), list(axes[j])]) != 0)
+    basis = [axes[i] for i in range(3) if i != last]
     points = [BiPoint(base, t)]
     for u, v in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2),
                  (3, 1), (1, 3), (3, -1), (1, -3), (3, 2), (2, 3), (3, -2), (2, -3)):
@@ -368,26 +357,25 @@ def fiber_points(model: BiconicModel, t: ProjPoint, want: int = 6,
     return points
 
 
-def distinct_foliations_witness(model: BiconicModel, budget: int = 40) -> tuple:
+def distinct_foliations_witness(model: BiconicModel) -> tuple:
     """Two surface points sharing the first fibration value but separated by
-    the second fibration; exists whenever k >= 1."""
-    if model.k < 1:
-        raise Unsupported("a model with empty real part has no fibers to separate")
+    the second fibration; exists whenever the real image is nonempty.
+
+    The fibers tried are the ladder of (0, 1) carried into each arc by the
+    Moebius map sending 0, 1, inf to its start, its end and a point outside
+    it, which walks arcs through infinity too."""
     image = biconic_interval_image(model)
-    attempts = 0
-    for arc in image.intervals:
-        lo, hi = arc.start.to_rat(), arc.end.to_rat()
-        for den in (2, 3, 4, 5, 7, 8, 11, 16):
-            for num in range(1, den):
-                if attempts >= budget:
-                    raise WitnessSearchFailed(budget)
-                attempts += 1
-                t = ProjPoint.from_rat(lo + Fraction(num, den) * (hi - lo))
-                pts = fiber_points(model, t, want=8)
-                values = {}
-                for p in pts:
-                    values.setdefault(second_fibration(model, p), p)
-                    if len(values) >= 2:
-                        first, second = list(values.values())[:2]
-                        return first, second
-    raise WitnessSearchFailed(budget)
+    if image.r < 1:
+        raise Unsupported("a model with empty real part has no fibers to separate")
+    into_arcs = [moebius_from_triples(ZERO, ONE, INF, arc.start, arc.end,
+                                      Interval(arc.end, arc.start).interior_point())
+                 for arc in image.intervals]
+    params = (m.apply_rat(u) for m in into_arcs
+              for rung in ladder(Fraction(0), Fraction(1)) for u in rung)
+    for t in islice(params, _WITNESS_BUDGET):
+        values = {}
+        for p in fiber_points(model, t, want=8):
+            values.setdefault(second_fibration(model, p), p)
+            if len(values) == 2:
+                return tuple(values.values())
+    raise WitnessSearchFailed(_WITNESS_BUDGET)

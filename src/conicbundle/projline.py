@@ -146,18 +146,21 @@ ONE = ProjPoint(1, 1)
 INF = ProjPoint.infinity()
 
 
-def _arc_key(p: ProjPoint):
-    # Linear order realizing one turn of the circle: finite ascending, then inf.
-    if p.is_infinity:
-        return (1, Fraction(0))
-    return (0, p.to_rat())
-
-
 def _walk_key(p: ProjPoint):
-    # Walk order used for canonical configurations: starts at infinity.
+    # Linear order realizing one positive turn of the circle from infinity.
     if p.is_infinity:
         return (0, Fraction(0))
     return (1, p.to_rat())
+
+
+LADDER = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16)
+
+
+def ladder(lo: Rat, hi: Rat) -> Iterator[list]:
+    """One rung per denominator den of LADDER: lo + (num/den)(hi - lo) for
+    0 < num < den, each strictly between lo and hi."""
+    for den in LADDER:
+        yield [lo + Fraction(num, den) * (hi - lo) for num in range(1, den)]
 
 
 @dataclass(frozen=True)
@@ -267,7 +270,8 @@ class Interval:
             raise ValueError("an arc needs two distinct boundary points")
 
     def contains(self, p: ProjPoint) -> bool:
-        ks, ke, kp = _arc_key(self.start), _arc_key(self.end), _arc_key(p)
+        # a cyclic test: where _walk_key cuts the circle does not matter
+        ks, ke, kp = _walk_key(self.start), _walk_key(self.end), _walk_key(p)
         if ks < ke:
             return ks <= kp <= ke
         return kp >= ks or kp <= ke

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -27,7 +28,7 @@ from .errors import (
     SingularFiberTarget,
 )
 from .polynomial import RatPoly, solve_linear
-from .projline import Rat, format_rat, parse_rat
+from .projline import Rat, format_rat, ladder, parse_rat
 
 
 @dataclass(frozen=True)
@@ -299,8 +300,8 @@ def _rational_circle_point(rho: Rat) -> Optional[Tuple[Rat, Rat]]:
     n = rho.numerator * rho.denominator
     if n > 10 ** 10:
         return None
-    root = isqrt(n)
-    for s in range(root + 1):
+    # The first hit has s <= t, else (t, s) came first; so s^2 <= n / 2.
+    for s in range(isqrt(n // 2) + 1):
         rest = n - s * s
         t = isqrt(rest)
         if t * t == rest:
@@ -318,24 +319,26 @@ def find_fiber_point(model: ConicModel, x: Rat) -> Optional[SurfPoint]:
     return SurfPoint(x, got[0], got[1])
 
 
-def sample_surface_points(model: ConicModel, per_interval: int = 2) -> list:
-    """Deterministic rational sample: root points plus interior fiber points."""
+def ladder_fibers(model: ConicModel, lo: Rat, hi: Rat) -> Iterator[SurfPoint]:
+    """The first rational fiber point on each rung of ladder(lo, hi); for
+    consecutive roots lo < hi each lies on a circle, as Q > 0 between them.
+    Two rungs can share a fiber (2/4 = 1/2)."""
+    for rung in ladder(lo, hi):
+        for x in rung:
+            p = find_fiber_point(model, x)
+            if p is not None:
+                yield p
+                break
+
+
+def sample_surface_points(model: ConicModel) -> list:
+    """Deterministic rational sample: the root points, then the first two
+    ladder fibers of each interval, each point with its spun copy."""
     points = [SurfPoint(a, 0, 0) for a in model.roots]
     spin = Rotation(Fraction(3, 5), Fraction(4, 5))
-    for i in range(model.r):
-        lo, hi = model.roots[2 * i], model.roots[2 * i + 1]
-        found = 0
-        for den in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16):
-            if found >= per_interval:
-                break
-            for num in range(1, den):
-                x = lo + Fraction(num, den) * (hi - lo)
-                p = find_fiber_point(model, x)
-                if p is not None and p.y * p.y + p.z * p.z > 0:
-                    y2, z2 = spin.apply(p.y, p.z)
-                    points.extend([p, SurfPoint(x, y2, z2)])
-                    found += 1
-                    break
+    for lo, hi in zip(model.roots[::2], model.roots[1::2]):
+        for p in islice(ladder_fibers(model, lo, hi), 2):
+            points += [p, SurfPoint(p.x, *spin.apply(p.y, p.z))]
     return points
 
 

@@ -19,11 +19,11 @@ from conicbundle import (
     Moebius,
     Rect,
     Region,
-    find_fiber_point,
     moebius_from_triples,
 )
 from conicbundle.errors import InfiniteStabilizer, InvalidTriple
 from conicbundle.projline import _walk_key
+from conicbundle.twist import ladder_fibers
 
 
 def run_python(*args, stdin=None):
@@ -171,24 +171,19 @@ def random_moebius(rng, size=6):
 
 
 def model_fibers_with_points(model, want, skip=()):
-    """Distinct fiber parameters carrying rational points, by ladder search."""
+    """Rational points on distinct fibers, none over skip: the ladder fibers
+    of each interval in turn, at most ceil(want / r) + 1 per interval."""
     out = []
     per_interval = -(-want // model.r) + 1
-    for i in range(model.r):
-        lo, hi = model.roots[2 * i], model.roots[2 * i + 1]
+    for lo, hi in zip(model.roots[::2], model.roots[1::2]):
         found_here = 0
-        for den in (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16):
-            if found_here >= per_interval:
+        for point in ladder_fibers(model, lo, hi):
+            if point.x in skip or any(p.x == point.x for p in out):
+                continue
+            out.append(point)
+            found_here += 1
+            if found_here == per_interval:
                 break
-            for num in range(1, den):
-                x = lo + Fraction(num, den) * (hi - lo)
-                if x in skip or any(p.x == x for p in out):
-                    continue
-                point = find_fiber_point(model, x)
-                if point is not None and point.y ** 2 + point.z ** 2 > 0:
-                    out.append(point)
-                    found_here += 1
-                    break
     return out[:want]
 
 

@@ -232,13 +232,30 @@ UNIT = {"roots": ["0", "1"]}
     ("verify-twist", {"model": UNIT, "twist": {"base": {"c": 1, "s": "0"}, "lambda": []}}),
     ("geiser", {"model": BICONIC, "point": {"xyz": ["3", "0", "1"], "t": ["1"]}}),
     ("lattice", {"m": True}),
+    ("decide-birational", {"model1": {"roots": "12"}, "model2": UNIT}),
+    ("twist", {"model": UNIT, "jets": [["1/2"]]}),
 ], ids=["number-root", "number-point", "number-pin", "number-bound", "number-rotation",
-        "short-t", "bool-m"])
+        "short-t", "bool-m", "string-roots", "short-jet"])
 def test_malformed_input_is_data_error_without_traceback(command, payload):
     proc = support.run_python("-m", "conicbundle.cli", command, stdin=json.dumps(payload))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("decide-birational", {"model1": {"roots": "12"}, "model2": UNIT}, "roots"),
+    ("twist", {"model": UNIT, "jets": [["1/2"]]}, "jets"),
+    ("twist", {"model": UNIT, "pairs": ["0"]}, "pairs"),
+    ("biconic-image", {"model": dict(BICONIC, k=3)}, "model.k"),
+    ("biconic-image", {"model": dict(BICONIC, k=0)}, "model.k"),
+])
+def test_schema_error_names_field(capsys, command, payload, field):
+    code, out, err = invoke(capsys, command, payload)
+    assert code == 2 and out is None
+    report = json.loads(err)
+    assert report["error"] == "schema"
+    assert report["field"] == field
 
 
 def test_unknown_command_is_usage_error(capsys):

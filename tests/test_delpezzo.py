@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conicbundle import (
     BiconicModel,
@@ -19,7 +21,8 @@ from conicbundle import (
     on_biconic,
     second_fibration,
 )
-from conicbundle.delpezzo import resultant
+from conicbundle.delpezzo import _conic_point, resultant
+from conicbundle.projline import clear_denominators, primitive
 from conicbundle.errors import (
     InvalidModel,
     MoveInfinityFirst,
@@ -54,6 +57,99 @@ def test_resultant_detects_shared_roots():
     h = BinQuadForm(1, 0, -4)      # roots 2, -2
     assert resultant(f, g) == 0
     assert resultant(f, h) != 0
+
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def reference_resultant(f, g):
+    # The 4x4 Sylvester determinant by cofactor expansion along the first row.
+    rows = [
+        [f.al, f.be, f.ga, Fraction(0)],
+        [Fraction(0), f.al, f.be, f.ga],
+        [g.al, g.be, g.ga, Fraction(0)],
+        [Fraction(0), g.al, g.be, g.ga],
+    ]
+    total = Fraction(0)
+    for col in range(4):
+        if rows[0][col] == 0:
+            continue
+        minor = [[rows[r][c] for c in range(4) if c != col] for r in range(1, 4)]
+        total += (-1) ** col * rows[0][col] * _det3(minor)
+    return total
+
+
+coefficients = st.fractions(min_value=-30, max_value=30, max_denominator=7)
+forms = st.tuples(coefficients, coefficients, coefficients).filter(any).map(
+    lambda c: BinQuadForm(*c))
+
+
+@given(forms, forms)
+def test_resultant_matches_sylvester_determinant(f, g):
+    assert resultant(f, g) == reference_resultant(f, g)
+
+
+@given(forms, st.integers(-6, 6), st.integers(-6, 6).filter(bool))
+def test_resultant_vanishes_on_a_shared_root(f, a, b):
+    # g = (b x - a y)^2 has the single root (a : b)
+    g = BinQuadForm(b * b, -2 * a * b, a * a)
+    shares = f.evaluate(a, b) == 0
+    assert (resultant(f, g) == 0) == shares
+
+
+def reference_fiber_points(model, t, want):
+    # fiber_points as it was when it chose the pencil's two axes as the first
+    # pair, in index order, whose determinant with the base point is nonzero.
+    c1, c2, c3 = primitive(*clear_denominators(model.values_at(t)))
+    base = _conic_point(c1, c2, c3)
+    if base is None:
+        return []
+    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    basis = next((axes[i], axes[j]) for i in range(3) for j in range(i + 1, 3)
+                 if _det3([list(base), list(axes[i]), list(axes[j])]) != 0)
+    points = [BiPoint(base, t)]
+    for u, v in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2),
+                 (3, 1), (1, 3), (3, -1), (1, -3), (3, 2), (2, 3), (3, -2), (2, -3)):
+        d = tuple(u * basis[0][i] + v * basis[1][i] for i in range(3))
+        fd = c1 * d[0] ** 2 + c2 * d[1] ** 2 + c3 * d[2] ** 2
+        ld = 2 * (c1 * base[0] * d[0] + c2 * base[1] * d[1] + c3 * base[2] * d[2])
+        candidate = tuple(fd * base[i] - ld * d[i] for i in range(3))
+        if all(value == 0 for value in candidate):
+            continue
+        pt = BiPoint(candidate, t)
+        if pt not in points and on_biconic(model, pt):
+            points.append(pt)
+        if len(points) >= want:
+            break
+    return points
+
+
+@pytest.mark.parametrize("config, ts", [
+    (((0, 1),), ("0", "1/2", "2/5", "1")),
+    (((-2, 2),), ("0", "-1", "1", "2/5", "-2")),
+    (((0, 1), (2, 3)), ("1/3", "2")),
+    (((-3, -1), (1, 3)), ("7/3", "-7/3")),
+])
+def test_fiber_points_match_determinant_axis_choice(config, ts):
+    model = biconic_from_config(cfg(*config))
+    for token in ts:
+        t = ProjPoint.from_token(token)
+        expected = reference_fiber_points(model, t, 8)
+        assert fiber_points(model, t, want=8) == expected
+        assert expected
+
+
+def test_fiber_points_reference_cases_cover_every_axis_choice():
+    # the last nonzero coordinate of the base point is 0, 1 and 2 among the
+    # fibers above
+    lasts = set()
+    for config, token in (((0, 1), "0"), ((-2, 2), "0"), ((0, 1), "1/2")):
+        base = fiber_points(biconic_from_config(cfg(config)), ProjPoint.from_token(token))[0]
+        lasts.add(max(i for i in range(3) if base.xyz[i]))
+    assert lasts == {0, 1, 2}
 
 
 def test_model_invariant_rejects_shared_and_double_roots():
@@ -255,6 +351,31 @@ def test_distinct_foliations_witness():
         p1, p2 = distinct_foliations_witness(model)
         assert p1.t == p2.t
         assert second_fibration(model, p1) != second_fibration(model, p2)
+
+
+@pytest.mark.parametrize("m1, image", [
+    ((1, -2, -3), [["3", "-1"]]),      # an arc through infinity
+    ((0, 1, 3), [["-3", "inf"]]),      # an arc ending at infinity
+])
+def test_distinct_foliations_witness_on_arcs_through_infinity(m1, image):
+    model = BiconicModel(BinQuadForm(*m1), BinQuadForm(-1, 0, -1),
+                         BinQuadForm(-1, 0, -2), 1)
+    assert biconic_interval_image(model).as_json() == image
+    p1, p2 = distinct_foliations_witness(model)
+    assert p1.t == p2.t
+    assert on_biconic(model, p1) and on_biconic(model, p2)
+    assert second_fibration(model, p1) != second_fibration(model, p2)
+
+
+def test_distinct_foliations_witness_reads_r_from_the_image():
+    # the declared k is not trusted: k = 3 on a one-arc model still finds a
+    # witness, and k = 1 on a model with empty real part is refused
+    p1, p2 = distinct_foliations_witness(
+        BiconicModel(BinQuadForm(-1, 1, 0), BinQuadForm(-1, 0, -1), BinQuadForm(-1, 0, -2), 3))
+    assert p1.t == p2.t
+    empty = biconic_from_config(IntervalConfig(()))
+    with pytest.raises(Unsupported):
+        distinct_foliations_witness(BiconicModel(empty.m1, empty.m2, empty.m3, 1))
 
 
 def test_distinct_foliations_needs_real_points():

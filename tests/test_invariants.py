@@ -1,0 +1,45 @@
+"""Source invariants of the library, checked on its syntax tree.
+
+Postconditions must survive `python -O`, which strips assert statements, and
+the runtime depends on the standard library only.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import conicbundle
+
+PACKAGE = Path(conicbundle.__file__).resolve().parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def _trees():
+    for path in SOURCES:
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_sources_are_found():
+    assert {"cli.py", "projline.py", "twist.py", "delpezzo.py"} <= {p.name for p in SOURCES}
+
+
+def test_no_assert_statements():
+    found = [f"{name}:{node.lineno}" for name, tree in _trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _imported_roots(node):
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module.split(".")[0]]
+    return []  # a relative import stays inside the package
+
+
+def test_imports_are_stdlib_or_package():
+    allowed = set(sys.stdlib_module_names) | {"__future__", "conicbundle"}
+    found = [f"{name}:{node.lineno} {root}" for name, tree in _trees()
+             for node in ast.walk(tree) for root in _imported_roots(node)
+             if root not in allowed]
+    assert found == []

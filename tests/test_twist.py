@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -16,6 +17,7 @@ from conicbundle import (
     choose_base_rotation,
     interpolate,
     inverse_twist,
+    on_surface,
     rotation_between,
     rotation_from_param,
     synthesize_twist,
@@ -32,7 +34,15 @@ from conicbundle.errors import (
     PinCollision,
     SingularFiberTarget,
 )
-from conicbundle.twist import identity_param, rotation_supply, sample_surface_points
+from conicbundle import twist as tw
+from conicbundle.projline import ladder
+from conicbundle.twist import (
+    _rational_circle_point,
+    identity_param,
+    ladder_fibers,
+    rotation_supply,
+    sample_surface_points,
+)
 
 import support
 
@@ -366,13 +376,118 @@ def test_jet_collision_with_pair():
         synthesize_twist(model, [(p, q)], jets=[(Fraction(1, 2), Fraction(1))])
 
 
+# -- fiber sampling -----------------------------------------------------------------
+
+def reference_circle_point(rho):
+    # The circle scan over every s up to isqrt(n), before it stopped at isqrt(n // 2).
+    rho = Fraction(rho)
+    if rho < 0:
+        return None
+    if rho == 0:
+        return Fraction(0), Fraction(0)
+    n = rho.numerator * rho.denominator
+    if n > 10 ** 10:
+        return None
+    root = isqrt(n)
+    for s in range(root + 1):
+        rest = n - s * s
+        t = isqrt(rest)
+        if t * t == rest:
+            return Fraction(s, rho.denominator), Fraction(t, rho.denominator)
+    return None
+
+
+def test_circle_scan_matches_reference_on_every_small_integer():
+    for n in range(-3, 20001):
+        assert _rational_circle_point(Fraction(n)) == reference_circle_point(n), n
+
+
+def test_circle_scan_matches_reference_on_random_rationals():
+    rng = random.Random(23)
+    for _ in range(600):
+        den = rng.randint(1, 120)
+        if rng.random() < 0.5:
+            # a sum of two squares over a square, so that hits are common
+            rho = Fraction(rng.randint(0, 300) ** 2 + rng.randint(0, 300) ** 2, den * den)
+        else:
+            rho = Fraction(rng.randint(-10, 10 ** 5), den)
+        assert _rational_circle_point(rho) == reference_circle_point(rho), rho
+
+
+def reference_sample_surface_points(model, per_interval=2):
+    # The sampler before the shared ladder, with its own ladder and filter.
+    points = [SurfPoint(a, 0, 0) for a in model.roots]
+    spin = Rotation(Fraction(3, 5), Fraction(4, 5))
+    for i in range(model.r):
+        lo, hi = model.roots[2 * i], model.roots[2 * i + 1]
+        found = 0
+        for den in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16):
+            if found >= per_interval:
+                break
+            for num in range(1, den):
+                x = lo + Fraction(num, den) * (hi - lo)
+                p = tw.find_fiber_point(model, x)
+                if p is not None and p.y * p.y + p.z * p.z > 0:
+                    y2, z2 = spin.apply(p.y, p.z)
+                    points.extend([p, SurfPoint(x, y2, z2)])
+                    found += 1
+                    break
+    return points
+
+
+def test_sample_surface_points_matches_reference(monkeypatch):
+    # Same list, repeated fibers included, from the same point searches in
+    # the same order.
+    searched = []
+    search = tw.find_fiber_point
+
+    def recording(model, x):
+        searched.append(x)
+        return search(model, x)
+
+    monkeypatch.setattr(tw, "find_fiber_point", recording)
+    rng = random.Random(29)
+    repeats = 0
+    for _ in range(20):
+        height = rng.choice((8, 50, 500, 5000))
+        model = support.random_model(rng, rng.randint(1, 3), -height, height)
+        searched.clear()
+        expected = reference_sample_surface_points(model)
+        expected_searches = list(searched)
+        searched.clear()
+        assert sample_surface_points(model) == expected
+        assert searched == expected_searches
+        xs = [p.x for p in expected[2 * model.r:]]
+        repeats += len(xs) != 2 * len(set(xs))
+    assert repeats > 0
+
+
+def test_ladder_rungs():
+    lo, hi = Fraction(-3, 2), Fraction(7)
+    rungs = list(ladder(lo, hi))
+    assert [len(rung) + 1 for rung in rungs] == [2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16]
+    assert rungs[0] == [Fraction(11, 4)]
+    assert all(lo < x < hi for rung in rungs for x in rung)
+    assert all(rung == sorted(rung) for rung in rungs)
+
+
+def test_ladder_fibers_take_first_point_of_each_rung():
+    model = ConicModel((0, 1, 3, 7))
+    for lo, hi in ((0, 1), (3, 7)):
+        fibers = list(ladder_fibers(model, Fraction(lo), Fraction(hi)))
+        assert fibers
+        for p in fibers:
+            assert lo < p.x < hi and on_surface(model, p) and p.y ** 2 + p.z ** 2 > 0
+            rung = next(r for r in ladder(Fraction(lo), Fraction(hi)) if p.x in r)
+            assert all(tw.find_fiber_point(model, x) is None for x in rung[:rung.index(p.x)])
+
+
 # -- application and verification ---------------------------------------------------
 
 def test_apply_twist_preserves_surface_and_fiber():
     rng = random.Random(4)
     model = support.random_model(rng, 2)
     twist = TwistMap(SPIN35, RatPoly((Fraction(1, 3), Fraction(2, 5))))
-    from conicbundle import on_surface
     for p in sample_surface_points(model):
         image = apply_twist(model, twist, p)
         assert image.x == p.x
