@@ -3,7 +3,9 @@
 Exit codes: 0 = yes/success, 1 = no, 2 = usage or data error.  Output is
 canonical (sorted keys, fixed indentation), so identical input bytes produce
 identical output bytes.  Every yes-verdict carries a witness and every
-no-verdict a machine-readable reason code.
+no-verdict a machine-readable reason code.  A data error writes one JSON
+object to stderr whose "error" is "malformed-json", "schema" (with the
+"field" path), the name of a library error, or "internal".
 """
 
 from __future__ import annotations
@@ -21,44 +23,127 @@ from . import lattice as lat
 from . import planner as pl
 from . import projline as pj
 from . import twist as tw
-from .errors import ConicBundleError, SchemaError
+from .errors import ConicBundleError, ParseError, SchemaError
+from .polynomial import RatPoly
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _need(payload: dict, field: str, kind=None):
-    if not isinstance(payload, dict) or field not in payload:
-        raise SchemaError(field, "missing required field")
-    value = payload[field]
+# -- request decoding: the one reader of request JSON.  Each decoder takes
+# (value, path) and raises SchemaError naming the full path of the bad value,
+# such as model1.marks[0].y.  The library constructors check the invariants.
+
+
+def _int(value, path: str) -> int:
     # bool is a subclass of int, but true is not a number
-    if kind is not None and (not isinstance(value, kind)
-                             or (kind is int and isinstance(value, bool))):
-        raise SchemaError(field, f"expected {kind.__name__}")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(path, "expected a JSON integer")
     return value
 
 
-def _parse_config(obj) -> pj.IntervalConfig:
-    if not isinstance(obj, list):
-        raise SchemaError("config", "expected a list of [start, end] pairs")
+def _int_token(value, path: str) -> int:
+    # a rational token without denominator: ASCII digits, no "_" or "+"
+    m = pj._RAT_RE.match(value.strip()) if isinstance(value, str) else None
+    if m is None or m.group(2) is not None:
+        raise SchemaError(path, f"not an integer token: {value!r}")
+    return int(m.group(1))
+
+
+def _rat(value, path: str, parse=pj.parse_rat):
+    """A rational token; a P^1 token when parse is ProjPoint.from_token."""
     try:
-        return pj.IntervalConfig.from_json(obj)
-    except (ValueError, IndexError, TypeError) as exc:
-        raise SchemaError("config", str(exc))
+        return parse(value)
+    except ParseError as exc:
+        raise SchemaError(path, str(exc)) from None
 
 
-def _parse_marked(obj, field: str) -> cm.MarkedModel:
-    try:
-        return cm.MarkedModel.from_json(_need(obj, field, dict))
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(field, f"bad marked model: {exc}")
+def _p1(value, path: str) -> pj.ProjPoint:
+    return _rat(value, path, pj.ProjPoint.from_token)
 
 
-def _cmd_decide_birational(payload: dict):
-    m1 = cm.ConicModel.from_json(_need(payload, "model1", dict))
-    m2 = cm.ConicModel.from_json(_need(payload, "model2", dict))
-    witness = cm.decide_birational(m1, m2)
+def _list_of(decode, length=None):
+    """The decoder of a JSON list of values read by decode, as a tuple."""
+    def decode_list(value, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise SchemaError(path, "expected a list")
+        if length is not None and len(value) != length:
+            raise SchemaError(path, f"expected {length} entries, got {len(value)}")
+        return tuple(decode(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return decode_list
+
+
+def _field(obj, path: str, key: str, decode, default=None):
+    """obj[key] read by decode at path.key; an absent key gives default, or
+    is an error when there is none."""
+    sub = f"{path}.{key}" if path else key
+    if not isinstance(obj, dict):
+        # a request that is not an object is reported at its first field
+        raise SchemaError(path or sub, "expected an object" if path
+                          else "the request is not a JSON object")
+    if key not in obj:
+        if default is None:
+            raise SchemaError(sub, "missing required field")
+        return default
+    return decode(obj[key], sub)
+
+
+_rats = _list_of(_rat)
+
+
+def _model(value, path: str) -> cm.ConicModel:
+    return cm.ConicModel(_field(value, path, "roots", _rats))
+
+
+def _surf_point(value, path: str) -> cm.SurfPoint:
+    return cm.SurfPoint(*(_field(value, path, k, _rat) for k in "xyz"))
+
+
+def _marked(value, path: str) -> cm.MarkedModel:
+    return cm.MarkedModel(_model(value, path),
+                          _field(value, path, "marks", _list_of(_surf_point), ()))
+
+
+def _config(value, path: str) -> pj.IntervalConfig:
+    arcs = _list_of(_list_of(_p1, 2))(value, path)
+    return pj.IntervalConfig(tuple(pj.Interval(s, e) for s, e in arcs))
+
+
+def _rotation(value, path: str) -> tw.Rotation:
+    c, s = (_field(value, path, k, _rat) for k in "cs")
+    if c * c + s * s != 1:
+        raise SchemaError(path, f"({c}, {s}) is not on the unit circle")
+    return tw.Rotation(c, s)
+
+
+def _twist(value, path: str) -> tw.TwistMap:
+    return tw.TwistMap(_field(value, path, "base", _rotation),
+                       RatPoly(_field(value, path, "lambda", _rats)))
+
+
+def _biconic(value, path: str) -> dp.BiconicModel:
+    forms = [dp.BinQuadForm(*_field(value, path, m, _list_of(_rat, 3)))
+             for m in ("m1", "m2", "m3")]
+    return dp.BiconicModel(*forms, _field(value, path, "k", _int, 0))
+
+
+def _bipoint(value, path: str) -> dp.BiPoint:
+    return dp.BiPoint(_field(value, path, "xyz", _list_of(_int_token, 3)),
+                      pj.ProjPoint(*_field(value, path, "t", _list_of(_int_token, 2))))
+
+
+def _region(value, path: str) -> pl.Region:
+    rects = _list_of(_list_of(_list_of(_rat, 2), 2))(value, path)
+    return pl.Region(tuple(pl.Rect(x0, x1, y0, y1) for (x0, x1), (y0, y1) in rects))
+
+
+# -- subcommands ----------------------------------------------------------------
+
+
+def _cmd_decide_birational(payload):
+    witness = cm.decide_birational(_field(payload, "", "model1", _model),
+                                   _field(payload, "", "model2", _model))
     if witness is None:
         return 1, {"answer": False, "rule": cm.RULE_BIRATIONAL,
                    "reason": "no-interval-equivalence"}
@@ -66,10 +151,9 @@ def _cmd_decide_birational(payload: dict):
                "witness": witness.as_json()}
 
 
-def _cmd_decide_iso(payload: dict):
-    m1 = _parse_marked(payload, "model1")
-    m2 = _parse_marked(payload, "model2")
-    result = cm.decide_marked_iso(m1, m2)
+def _cmd_decide_iso(payload):
+    result = cm.decide_marked_iso(_field(payload, "", "model1", _marked),
+                                  _field(payload, "", "model2", _marked))
     if result is None:
         return 1, {"answer": False, "rule": cm.RULE_MARKED_ISO,
                    "reason": "no-count-compatible-equivalence"}
@@ -78,16 +162,15 @@ def _cmd_decide_iso(payload: dict):
                "witness": {"perm": [i + 1 for i in nu], "moebius": witness.as_json()}}
 
 
-def _cmd_decide_verytransitive(payload: dict):
-    marked = _parse_marked(payload, "model")
-    verdict = cm.decide_very_transitive(marked)
+def _cmd_decide_verytransitive(payload):
+    verdict = cm.decide_very_transitive(_field(payload, "", "model", _marked))
     obj = verdict.as_json()
     obj["answer"] = verdict.very_transitive
     return (0 if verdict.very_transitive else 1), obj
 
 
-def _cmd_realizable_perms(payload: dict):
-    config = _parse_config(_need(payload, "config", list))
+def _cmd_realizable_perms(payload):
+    config = _field(payload, "", "config", _config)
     if config.r < 1:
         raise SchemaError("config", "need at least one interval")
     perms = pj.realizable_permutations(config)
@@ -96,29 +179,19 @@ def _cmd_realizable_perms(payload: dict):
     return 0, {"count": len(entries), "permutations": entries}
 
 
-def _cmd_stabilizer(payload: dict):
-    tokens = _need(payload, "points", list)
-    points = [pj.ProjPoint.from_token(t) for t in tokens]
+def _cmd_stabilizer(payload):
+    points = _field(payload, "", "points", _list_of(_p1))
     if len(set(points)) < 3:
         raise SchemaError("points", "need at least three distinct points")
     maps = pj.stabilizer(points)
     return 0, {"order": len(maps), "stabilizer": [m.as_json() for m in maps]}
 
 
-def _pairs(payload: dict, field: str, decode) -> list:
-    pairs = []
-    for entry in payload.get(field, []):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise SchemaError(field, "each entry must be a two-entry list")
-        pairs.append((decode(entry[0]), decode(entry[1])))
-    return pairs
-
-
-def _cmd_twist(payload: dict):
-    model = cm.ConicModel.from_json(_need(payload, "model", dict))
-    pairs = _pairs(payload, "pairs", cm.SurfPoint.from_json)
-    pins = [pj.parse_rat(t) for t in payload.get("pins", [])]
-    jets = _pairs(payload, "jets", pj.parse_rat)
+def _cmd_twist(payload):
+    model = _field(payload, "", "model", _model)
+    pairs = _field(payload, "", "pairs", _list_of(_list_of(_surf_point, 2)), ())
+    pins = _field(payload, "", "pins", _rats, ())
+    jets = _field(payload, "", "jets", _list_of(_list_of(_rat, 2)), ())
     twist = tw.synthesize_twist(model, pairs, pins=pins, jets=jets)
     report = tw.verify_twist(model, twist)
     return 0, {"twist": twist.as_json(),
@@ -127,10 +200,9 @@ def _cmd_twist(payload: dict):
                           "points_checked": report.points_checked}}
 
 
-def _cmd_verify_twist(payload: dict):
-    model = cm.ConicModel.from_json(_need(payload, "model", dict))
-    twist = tw.TwistMap.from_json(_need(payload, "twist", dict))
-    report = tw.verify_twist(model, twist)
+def _cmd_verify_twist(payload):
+    report = tw.verify_twist(_field(payload, "", "model", _model),
+                             _field(payload, "", "twist", _twist))
     obj = {"passed": report.passed, "failures": list(report.failures),
            "points_checked": report.points_checked}
     if not report.passed:
@@ -138,24 +210,23 @@ def _cmd_verify_twist(payload: dict):
     return (0 if report.passed else 1), obj
 
 
-def _cmd_geiser(payload: dict):
-    model = dp.BiconicModel.from_json(_need(payload, "model", dict))
-    point = dp.BiPoint.from_json(_need(payload, "point", dict))
-    image = dp.geiser(model, point)
+def _cmd_geiser(payload):
+    image = dp.geiser(_field(payload, "", "model", _biconic),
+                      _field(payload, "", "point", _bipoint))
     return 0, {"image": image.as_json(),
                "second_fibration": [str(image.t.u0), str(image.t.u1)]}
 
 
-def _cmd_biconic_image(payload: dict):
-    model = dp.BiconicModel.from_json(_need(payload, "model", dict))
+def _cmd_biconic_image(payload):
+    model = _field(payload, "", "model", _biconic)
     config = dp.biconic_interval_image(model)
     if model.k != config.r:
         raise SchemaError("model.k", f"declares {model.k} intervals, the real image has {config.r}")
     return 0, {"config": config.as_json(), "r": config.r}
 
 
-def _cmd_lattice(payload: dict):
-    m = _need(payload, "m", int)
+def _cmd_lattice(payload):
+    m = _field(payload, "", "m", _int)
     classes = lat.exceptional_classes(m)
     obj = {"m": m, "count": len(classes),
            "classes": [c.as_json() for c in classes],
@@ -184,12 +255,12 @@ def _cmd_lattice(payload: dict):
     return 0, obj
 
 
-def _cmd_region_path(payload: dict):
-    region = pl.Region.from_json(_need(payload, "rects", list))
-    start = tuple(pj.parse_rat(t) for t in _need(payload, "start", list))
-    end = tuple(pj.parse_rat(t) for t in _need(payload, "end", list))
-    fx = [pj.parse_rat(t) for t in payload.get("forbidden_x", [])]
-    fy = [pj.parse_rat(t) for t in payload.get("forbidden_y", [])]
+def _cmd_region_path(payload):
+    region = _field(payload, "", "rects", _region)
+    start = _field(payload, "", "start", _list_of(_rat, 2))
+    end = _field(payload, "", "end", _list_of(_rat, 2))
+    fx = _field(payload, "", "forbidden_x", _rats, ())
+    fy = _field(payload, "", "forbidden_y", _rats, ())
     path = pl.find_rect_path(region, start, end, fx, fy)
     if path is None:
         return 1, {"answer": False, "reason": "disconnected"}
@@ -218,7 +289,7 @@ def _selftest(seed: int) -> dict:
     for r in (1, 2, 3):
         for config in _selftest_configs(rng, 6, r):
             cases += 1
-            if pj.IntervalConfig.from_json(config.as_json()) != config:
+            if _config(config.as_json(), "config") != config:
                 failures.append(f"roundtrip broke for {config}")
             got = pj.config_equiv(config, config, tuple(range(r)))
             if got is None or got[0] != pj.Moebius.identity():
@@ -306,11 +377,6 @@ def _selftest(seed: int) -> dict:
     return {"seed": seed, "passed": passed, "suites": suites}
 
 
-def _cmd_selftest(payload: dict, seed: int):
-    report = _selftest(seed)
-    return (0 if report["passed"] else 1), report
-
-
 _HANDLERS = {
     "decide-birational": _cmd_decide_birational,
     "decide-iso": _cmd_decide_iso,
@@ -351,48 +417,48 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    def emit(text: str):
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-
-    if args.command == "selftest":
-        code, obj = _cmd_selftest({}, args.seed)
-        emit(_dump(obj))
-        return code
-
-    try:
-        if args.input:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                raw = fh.read()
-        else:
-            raw = sys.stdin.read()
-    except OSError as exc:
-        sys.stderr.write(f"cannot read input: {exc}\n")
-        return 2
+    raw = None
+    if args.command != "selftest":
+        try:
+            if args.input:
+                with open(args.input, "r", encoding="utf-8") as fh:
+                    raw = fh.read()
+            else:
+                raw = sys.stdin.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            sys.stderr.write(f"cannot read input: {exc}\n")
+            return 2
 
     try:
-        payload = json.loads(raw)
+        if raw is None:
+            obj = _selftest(args.seed)
+            code = 0 if obj["passed"] else 1
+        else:
+            code, obj = _HANDLERS[args.command](json.loads(raw))
     except json.JSONDecodeError as exc:
         sys.stderr.write(_dump({"error": "malformed-json", "line": exc.lineno,
                                 "column": exc.colno, "message": exc.msg}))
         return 2
-
-    try:
-        code, obj = _HANDLERS[args.command](payload)
     except SchemaError as exc:
-        sys.stderr.write(_dump({"error": "schema", "field": exc.field,
-                                "message": str(exc)}))
+        sys.stderr.write(_dump({"error": "schema", "field": exc.field, "message": str(exc)}))
         return 2
     except ConicBundleError as exc:
         sys.stderr.write(_dump({"error": type(exc).__name__, "message": str(exc)}))
         return 2
-    except (KeyError, TypeError, ValueError) as exc:
-        sys.stderr.write(_dump({"error": type(exc).__name__, "message": str(exc)}))
+    except Exception as exc:
+        # a defect, not a verdict: exit 2 and no traceback
+        sys.stderr.write(_dump({"error": "internal", "message": f"{type(exc).__name__}: {exc}"}))
         return 2
-    emit(_dump(obj))
+
+    try:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(_dump(obj))
+        else:
+            sys.stdout.write(_dump(obj))
+    except OSError as exc:
+        sys.stderr.write(f"cannot write output: {exc}\n")
+        return 2
     return code
 
 

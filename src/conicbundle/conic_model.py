@@ -19,7 +19,6 @@ from .errors import (
     MoveInfinityFirst,
     NotOnSurface,
     NotProportional,
-    SchemaError,
 )
 from .polynomial import RatPoly
 from .projline import (
@@ -32,7 +31,6 @@ from .projline import (
     _equiv_candidates,
     config_equiv,
     format_rat,
-    parse_rat,
     rational_sqrt,
     realizable_permutations,
 )
@@ -80,12 +78,6 @@ class ConicModel:
     def as_json(self) -> dict:
         return {"roots": [format_rat(a) for a in self.roots]}
 
-    @staticmethod
-    def from_json(obj: dict) -> "ConicModel":
-        if not isinstance(obj["roots"], list):
-            raise SchemaError("roots", "expected a list of rational tokens")
-        return ConicModel(tuple(parse_rat(t) for t in obj["roots"]))
-
 
 @dataclass(frozen=True)
 class SurfPoint:
@@ -102,10 +94,6 @@ class SurfPoint:
 
     def as_json(self) -> dict:
         return {"x": format_rat(self.x), "y": format_rat(self.y), "z": format_rat(self.z)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "SurfPoint":
-        return SurfPoint(parse_rat(obj["x"]), parse_rat(obj["y"]), parse_rat(obj["z"]))
 
 
 def on_surface(model: ConicModel, p: SurfPoint) -> bool:
@@ -204,12 +192,6 @@ class MarkedModel:
         obj = self.model.as_json()
         obj["marks"] = [p.as_json() for p in self.marks]
         return obj
-
-    @staticmethod
-    def from_json(obj: dict) -> "MarkedModel":
-        model = ConicModel.from_json(obj)
-        marks = tuple(SurfPoint.from_json(p) for p in obj.get("marks", []))
-        return MarkedModel(model, marks)
 
 
 def homeo_types_from_counts(counts) -> tuple:

@@ -38,7 +38,6 @@ from .projline import (
     format_rat,
     ladder,
     moebius_from_triples,
-    parse_rat,
     primitive,
     rational_sqrt,
 )
@@ -100,10 +99,6 @@ class BinQuadForm:
     def as_json(self) -> list:
         return [format_rat(self.al), format_rat(self.be), format_rat(self.ga)]
 
-    @staticmethod
-    def from_json(triple) -> "BinQuadForm":
-        return BinQuadForm(*(parse_rat(t) for t in triple))
-
 
 def resultant(f: BinQuadForm, g: BinQuadForm) -> Rat:
     """Sylvester resultant; zero exactly when the forms share a root."""
@@ -144,13 +139,6 @@ class BiconicModel:
         return {"m1": self.m1.as_json(), "m2": self.m2.as_json(),
                 "m3": self.m3.as_json(), "k": self.k}
 
-    @staticmethod
-    def from_json(obj: dict) -> "BiconicModel":
-        return BiconicModel(BinQuadForm.from_json(obj["m1"]),
-                            BinQuadForm.from_json(obj["m2"]),
-                            BinQuadForm.from_json(obj["m3"]),
-                            int(obj.get("k", 0)))
-
 
 @dataclass(frozen=True)
 class BiPoint:
@@ -168,11 +156,6 @@ class BiPoint:
     def as_json(self) -> dict:
         return {"xyz": [str(v) for v in self.xyz],
                 "t": [str(self.t.u0), str(self.t.u1)]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "BiPoint":
-        t0, t1 = obj["t"]
-        return BiPoint(tuple(int(v) for v in obj["xyz"]), ProjPoint(int(t0), int(t1)))
 
 
 def on_biconic(model: BiconicModel, p: BiPoint) -> bool:

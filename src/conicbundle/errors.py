@@ -25,7 +25,7 @@ class InfiniteStabilizer(ConicBundleError):
     """Fewer than three points: the stabilizer is not finite."""
 
 
-class InvalidModel(ConicBundleError):
+class InvalidModel(ConicBundleError, ValueError):
     """Constructor input violates a model invariant."""
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidModel, OnForbiddenLine, OutsideRegion
-from .projline import Rat, format_rat, parse_rat
+from .projline import Rat, format_rat
 
 Point = Tuple[Rat, Rat]
 
@@ -46,11 +46,6 @@ class Rect:
         return [[format_rat(self.x0), format_rat(self.x1)],
                 [format_rat(self.y0), format_rat(self.y1)]]
 
-    @staticmethod
-    def from_json(pair) -> "Rect":
-        (x0, x1), (y0, y1) = pair
-        return Rect(parse_rat(x0), parse_rat(x1), parse_rat(y0), parse_rat(y1))
-
 
 @dataclass(frozen=True)
 class Region:
@@ -69,10 +64,6 @@ class Region:
 
     def as_json(self) -> list:
         return [r.as_json() for r in self.rects]
-
-    @staticmethod
-    def from_json(items) -> "Region":
-        return Region(tuple(Rect.from_json(it) for it in items))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .projline import Rat, format_rat, parse_rat
+from .projline import Rat, format_rat
 
 NEG_INF = float("-inf")
 
@@ -94,10 +94,6 @@ class RatPoly:
 
     def as_json(self) -> list:
         return [format_rat(c) for c in self.coeffs]
-
-    @staticmethod
-    def from_json(tokens) -> "RatPoly":
-        return RatPoly(tuple(parse_rat(t) for t in tokens))
 
     def __repr__(self):
         if self.is_zero:

@@ -18,11 +18,11 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Optional
 
-from .errors import InfiniteStabilizer, InvalidTriple, ParseError
+from .errors import InfiniteStabilizer, InvalidModel, InvalidTriple, ParseError
 
 Rat = Fraction
 
-_RAT_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
+_RAT_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$", re.ASCII)
 
 
 def parse_rat(token: str) -> Rat:
@@ -105,7 +105,7 @@ class ProjPoint:
 
     def __post_init__(self):
         if self.u0 == 0 and self.u1 == 0:
-            raise ValueError("(0 : 0) is not a projective point")
+            raise InvalidModel("(0 : 0) is not a projective point")
         u0, u1 = primitive(self.u0, self.u1)
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "u1", u1)
@@ -125,7 +125,7 @@ class ProjPoint:
 
     def to_rat(self) -> Rat:
         if self.is_infinity:
-            raise ValueError("infinity has no affine value")
+            raise InvalidModel("infinity has no affine value")
         return Fraction(self.u0, self.u1)
 
     def to_token(self) -> str:
@@ -179,7 +179,7 @@ class Moebius:
 
     def __post_init__(self):
         if self.a * self.d - self.b * self.c == 0:
-            raise ValueError("singular matrix does not define a Moebius map")
+            raise InvalidModel("singular matrix does not define a Moebius map")
         a, b, c, d = primitive(self.a, self.b, self.c, self.d)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -223,10 +223,6 @@ class Moebius:
     def as_json(self) -> dict:
         return {"a": str(self.a), "b": str(self.b), "c": str(self.c), "d": str(self.d)}
 
-    @staticmethod
-    def from_json(obj: dict) -> "Moebius":
-        return Moebius.from_rational(*(parse_rat(obj[k]) for k in ("a", "b", "c", "d")))
-
 
 def moebius_apply(m: Moebius, p: ProjPoint) -> ProjPoint:
     return m.apply(p)
@@ -267,7 +263,7 @@ class Interval:
 
     def __post_init__(self):
         if self.start == self.end:
-            raise ValueError("an arc needs two distinct boundary points")
+            raise InvalidModel("an arc needs two distinct boundary points")
 
     def contains(self, p: ProjPoint) -> bool:
         # a cyclic test: where _walk_key cuts the circle does not matter
@@ -289,10 +285,6 @@ class Interval:
 
     def as_json(self) -> list:
         return [self.start.to_token(), self.end.to_token()]
-
-    @staticmethod
-    def from_json(pair) -> "Interval":
-        return Interval(ProjPoint.from_token(pair[0]), ProjPoint.from_token(pair[1]))
 
     def __repr__(self):
         return f"Interval[{self.start.to_token()}, {self.end.to_token()}]"
@@ -321,12 +313,12 @@ class IntervalConfig:
         arcs = tuple(self.intervals)
         boundary = [arc.start for arc in arcs] + [arc.end for arc in arcs]
         if len(set(boundary)) != len(boundary):
-            raise ValueError("boundary points of a configuration must be distinct")
+            raise InvalidModel("boundary points of a configuration must be distinct")
         for i, a in enumerate(arcs):
             for b in arcs[i + 1:]:
                 if (a.contains(b.start) or a.contains(b.end)
                         or b.contains(a.start) or b.contains(a.end)):
-                    raise ValueError(f"arcs {a} and {b} are not disjoint")
+                    raise InvalidModel(f"arcs {a} and {b} are not disjoint")
         ordered = tuple(sorted(arcs, key=lambda arc: min(_walk_key(arc.start), _walk_key(arc.end))))
         object.__setattr__(self, "intervals", ordered)
 
@@ -347,10 +339,6 @@ class IntervalConfig:
 
     def as_json(self) -> list:
         return [arc.as_json() for arc in self.intervals]
-
-    @staticmethod
-    def from_json(pairs) -> "IntervalConfig":
-        return IntervalConfig(tuple(Interval.from_json(p) for p in pairs))
 
     @staticmethod
     def from_rat_pairs(pairs: Iterable) -> "IntervalConfig":

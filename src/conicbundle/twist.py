@@ -22,13 +22,14 @@ from .errors import (
     DuplicateNode,
     EmptyOrSingularFiber,
     FiberMismatch,
+    InvalidModel,
     NotOnFiber,
     NotOnSurface,
     PinCollision,
     SingularFiberTarget,
 )
 from .polynomial import RatPoly, solve_linear
-from .projline import Rat, format_rat, ladder, parse_rat
+from .projline import Rat, format_rat, ladder
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class Rotation:
     def __post_init__(self):
         c, s = Fraction(self.c), Fraction(self.s)
         if c * c + s * s != 1:
-            raise ValueError(f"({c}, {s}) is not on the unit circle")
+            raise InvalidModel(f"({c}, {s}) is not on the unit circle")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "s", s)
 
@@ -65,10 +66,6 @@ class Rotation:
 
     def as_json(self) -> dict:
         return {"c": format_rat(self.c), "s": format_rat(self.s)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Rotation":
-        return Rotation(parse_rat(obj["c"]), parse_rat(obj["s"]))
 
 
 def rotation_from_param(lam: Rat) -> Rotation:
@@ -168,10 +165,6 @@ class TwistMap:
 
     def as_json(self) -> dict:
         return {"base": self.base.as_json(), "lambda": self.lam.as_json()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "TwistMap":
-        return TwistMap(Rotation.from_json(obj["base"]), RatPoly.from_json(obj["lambda"]))
 
 
 def twist_from_rotations(model: ConicModel, rotation_nodes: Sequence,

@@ -20,10 +20,16 @@ from conicbundle import (
     Rect,
     Region,
     moebius_from_triples,
+    parse_rat,
 )
 from conicbundle.errors import InfiniteStabilizer, InvalidTriple
 from conicbundle.projline import _walk_key
 from conicbundle.twist import ladder_fibers
+
+
+def moebius_from_json(obj):
+    """The Moebius map of a witness as the CLI writes it, {"a", "b", "c", "d"}."""
+    return Moebius.from_rational(*(parse_rat(obj[k]) for k in "abcd"))
 
 
 def run_python(*args, stdin=None):

@@ -1,17 +1,22 @@
 """Command-line interface: exit codes, schemas, determinism, witnesses."""
 
+import io
 import json
+import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conicbundle import (
     ConicModel,
     IntervalConfig,
-    Moebius,
     SurfPoint,
-    TwistMap,
     apply_twist,
+    cli,
 )
 from conicbundle.cli import run
 from conicbundle.projline import interval_image as arc_image
@@ -20,9 +25,6 @@ import support
 
 
 def invoke(capsys, command, payload, extra=()):
-    import io
-    import sys
-
     stdin = sys.stdin
     sys.stdin = io.StringIO(json.dumps(payload) if not isinstance(payload, str) else payload)
     try:
@@ -43,7 +45,7 @@ def test_decide_birational_yes_with_witness(capsys):
     code, out, _ = invoke(capsys, "decide-birational", payload)
     assert code == 0
     assert out["answer"] is True
-    witness = Moebius.from_json(out["witness"])
+    witness = support.moebius_from_json(out["witness"])
     c1 = IntervalConfig.from_rat_pairs([(0, 1), (2, 3)])
     c2 = IntervalConfig.from_rat_pairs([(5, 6), (7, 8)])
     images = IntervalConfig(tuple(arc_image(witness, arc) for arc in c1.intervals))
@@ -81,7 +83,7 @@ def test_decide_iso_swap(capsys):
     assert code == 0
     assert out["witness"]["perm"] == [2, 1]
     # emitted witness re-validates against the interval configurations
-    witness = Moebius.from_json(out["witness"]["moebius"])
+    witness = support.moebius_from_json(out["witness"]["moebius"])
     config = IntervalConfig.from_rat_pairs([(0, 1), (2, 3)])
     nu = [v - 1 for v in out["witness"]["perm"]]
     assert support.witness_maps_config(witness, config, config, nu)
@@ -96,7 +98,7 @@ def test_realizable_perms_roundtrip(capsys):
     assert perms == {(1, 2), (2, 1)}
     config = IntervalConfig.from_rat_pairs([(0, 1), (2, 3)])
     for entry in out["permutations"]:
-        witness = Moebius.from_json(entry["witness"])
+        witness = support.moebius_from_json(entry["witness"])
         nu = [v - 1 for v in entry["perm"]]
         assert support.witness_maps_config(witness, config, config, nu)
 
@@ -120,7 +122,7 @@ def test_twist_synthesis_and_verify_roundtrip(capsys):
     assert code == 0
     assert out["report"]["passed"] is True
     assert out["twist"]["lambda"] == ["0", "2"]
-    twist = TwistMap.from_json(out["twist"])
+    twist = cli._twist(out["twist"], "twist")
     model = ConicModel((0, 1))
     p = SurfPoint(Fraction(1, 2), Fraction(1, 2), 0)
     assert apply_twist(model, twist, p) == SurfPoint(Fraction(1, 2), 0, Fraction(1, 2))
@@ -222,6 +224,29 @@ def test_non_coprime_token_rejected(capsys):
 
 BICONIC = {"m1": ["-1", "1", "0"], "m2": ["-1", "0", "-1"], "m3": ["-1", "0", "-2"], "k": 1}
 UNIT = {"roots": ["0", "1"]}
+IDENTITY = {"c": "1", "s": "0"}
+
+# Requests that were once silently reinterpreted or failed without naming
+# their field, each with the field its schema error must name.
+MISREAD = [
+    ("verify-twist", {"model": UNIT, "twist": {"base": IDENTITY, "lambda": "12"}},
+     "twist.lambda"),
+    ("biconic-image", {"model": dict(BICONIC, k=1.9)}, "model.k"),
+    ("geiser", {"model": BICONIC, "point": {"xyz": [3.9, 0, "1"], "t": ["1", "2"]}},
+     "point.xyz[0]"),
+    ("geiser", {"model": BICONIC, "point": {"xyz": ["3_0", "0", "1"], "t": ["1", "2"]}},
+     "point.xyz[0]"),
+    ("twist", {"model": UNIT, "pins": "1"}, "pins"),
+    ("twist", {"model": UNIT, "pins": {"a": 1}}, "pins"),
+    ("verify-twist", {"model": UNIT, "twist": {"base": {"c": "1", "s": "1"}, "lambda": []}},
+     "twist.base"),
+    ("region-path", {"rects": [[["0", "1"]]], "start": ["0", "0"], "end": ["1", "1"]},
+     "rects[0]"),
+    ("decide-iso", {"model1": {"roots": ["0", "1"], "marks": [{"x": "0", "z": "0"}]},
+                    "model2": UNIT}, "model1.marks[0].y"),
+]
+MISREAD_IDS = ["string-lambda", "float-k", "float-xyz", "underscore-xyz", "string-pins",
+               "object-pins", "base-off-circle", "short-rect", "mark-without-y"]
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -234,8 +259,9 @@ UNIT = {"roots": ["0", "1"]}
     ("lattice", {"m": True}),
     ("decide-birational", {"model1": {"roots": "12"}, "model2": UNIT}),
     ("twist", {"model": UNIT, "jets": [["1/2"]]}),
+    *[(command, payload) for command, payload, _ in MISREAD],
 ], ids=["number-root", "number-point", "number-pin", "number-bound", "number-rotation",
-        "short-t", "bool-m", "string-roots", "short-jet"])
+        "short-t", "bool-m", "string-roots", "short-jet", *MISREAD_IDS])
 def test_malformed_input_is_data_error_without_traceback(command, payload):
     proc = support.run_python("-m", "conicbundle.cli", command, stdin=json.dumps(payload))
     assert proc.returncode == 2, proc.stderr
@@ -244,11 +270,12 @@ def test_malformed_input_is_data_error_without_traceback(command, payload):
 
 
 @pytest.mark.parametrize("command, payload, field", [
-    ("decide-birational", {"model1": {"roots": "12"}, "model2": UNIT}, "roots"),
-    ("twist", {"model": UNIT, "jets": [["1/2"]]}, "jets"),
-    ("twist", {"model": UNIT, "pairs": ["0"]}, "pairs"),
+    ("decide-birational", {"model1": {"roots": "12"}, "model2": UNIT}, "model1.roots"),
+    ("twist", {"model": UNIT, "jets": [["1/2"]]}, "jets[0]"),
+    ("twist", {"model": UNIT, "pairs": ["0"]}, "pairs[0]"),
     ("biconic-image", {"model": dict(BICONIC, k=3)}, "model.k"),
     ("biconic-image", {"model": dict(BICONIC, k=0)}, "model.k"),
+    *MISREAD,
 ])
 def test_schema_error_names_field(capsys, command, payload, field):
     code, out, err = invoke(capsys, command, payload)
@@ -258,6 +285,26 @@ def test_schema_error_names_field(capsys, command, payload, field):
     assert report["field"] == field
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["lattice"], "."), (["selftest", "--seed", "1"], "missing/report.json"),
+], ids=["directory", "missing-directory"])
+def test_unwritable_output_is_data_error_without_traceback(tmp_path, argv, target):
+    proc = support.run_python("-m", "conicbundle.cli", *argv, "--output", str(tmp_path / target),
+                              stdin='{"m": 5}')
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cannot write output:")
+
+
+def test_undecodable_input_is_data_error_without_traceback(tmp_path):
+    request = tmp_path / "request.json"
+    request.write_bytes(b'{"m": 5, "note": "\xff"}')
+    proc = support.run_python("-m", "conicbundle.cli", "lattice", "--input", str(request))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cannot read input:")
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
 
@@ -265,9 +312,6 @@ def test_unknown_command_is_usage_error(capsys):
 # -- determinism -------------------------------------------------------------------------------
 
 def test_identical_input_identical_output(capsys):
-    import io
-    import sys
-
     payload = json.dumps({"model": {"roots": ["0", "1", "2", "3", "4", "5"]}})
     outputs = []
     for _ in range(2):
@@ -291,3 +335,112 @@ def test_selftest_deterministic(capsys, tmp_path):
     assert report["passed"] is True
     assert {s["name"] for s in report["suites"]} >= {
         "interval-configs", "twist-transport", "geiser-involution", "lattice", "planner"}
+
+
+# -- the CLI contract under malformed requests ---------------------------------------------------
+#
+# Shape mutations of well-formed requests (decide-workload golden requests and
+# small twists) and arbitrary JSON, through every JSON subcommand.  Only
+# shapes change, never magnitudes, so no slow point search runs.
+
+GOLDEN_DECIDE = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "decide.json"
+SMALL_TWIST_REQUESTS = [
+    ("twist", {"model": UNIT,
+               "pairs": [[{"x": "1/2", "y": "1/2", "z": "0"}, {"x": "1/2", "y": "0", "z": "1/2"}]],
+               "pins": ["0"], "jets": [["1/4", "1"]]}),
+    ("verify-twist", {"model": {"roots": ["0", "1", "2", "3"]},
+                      "twist": {"base": {"c": "3/5", "s": "4/5"}, "lambda": ["0", "2"]}}),
+]
+
+
+def _base_requests():
+    record = json.loads(GOLDEN_DECIDE.read_text())
+    requests = [(e["argv"][0], json.loads(e["stdin"])) for e in record["requests"] if e["stdin"]]
+    return requests + SMALL_TWIST_REQUESTS
+
+
+BASE_REQUESTS = _base_requests()
+REQUEST_KEYS = {}
+for _command, _request in BASE_REQUESTS:
+    REQUEST_KEYS.setdefault(_command, set()).update(_request)
+
+LEAVES = [0, 1, -1, True, False, None, 0.5, "", "x", [], {}]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=10)
+
+
+def _locations(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _locations(value, path + (key,))
+
+
+def _mutate(request, path, op, leaf):
+    """A copy of request with the value at path dropped, replaced by leaf,
+    wrapped in a list or unwrapped to its first entry."""
+    request = json.loads(json.dumps(request))
+    if not path:
+        # the whole request: wrapped, or else replaced
+        return [request] if op == "wrap" else leaf
+    parent = request
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    if op == "drop":
+        del parent[path[-1]]
+    elif op == "wrap":
+        parent[path[-1]] = [value]
+    elif op == "unwrap" and isinstance(value, (list, dict)) and value:
+        parent[path[-1]] = next(iter(value.values())) if isinstance(value, dict) else value[0]
+    else:
+        # replace, or unwrap a value that has no first entry
+        parent[path[-1]] = leaf
+    return request
+
+
+def _assert_contract(command, request):
+    saved = sys.stdin, sys.stdout, sys.stderr
+    out, err = io.StringIO(), io.StringIO()
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(json.dumps(request)), out, err
+    try:
+        code = run([command])
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    assert code in (0, 1, 2)
+    if code != 2:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+        return
+    assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
+    report = json.loads(err.getvalue())
+    assert isinstance(report, dict)
+    if report["error"] == "schema":
+        assert re.split(r"[.\[]", report["field"])[0] in REQUEST_KEYS[command], report
+
+
+def test_fuzz_requests_cover_every_json_subcommand():
+    assert set(REQUEST_KEYS) == set(cli._HANDLERS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzz_mutated_requests_keep_the_contract(data):
+    command, request = data.draw(st.sampled_from(BASE_REQUESTS))
+    path = data.draw(st.sampled_from(list(_locations(request))))
+    op = data.draw(st.sampled_from(["drop", "replace", "wrap", "unwrap"]))
+    leaf = data.draw(st.sampled_from(LEAVES))
+    _assert_contract(command, _mutate(request, path, op, leaf))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(cli._HANDLERS)), st.data())
+def test_fuzz_arbitrary_json_keeps_the_contract(command, data):
+    keys = st.sampled_from(sorted(REQUEST_KEYS[command])) | st.text(max_size=4)
+    request = data.draw(json_values | st.dictionaries(keys, json_values, max_size=4))
+    _assert_contract(command, request)

@@ -51,7 +51,7 @@ def test_parse_and_format_roundtrip():
         assert format_rat(parse_rat(token)) == token
 
 
-@pytest.mark.parametrize("bad", ["2/4", "1/0", "3/-5", "a", "1.5", "", "5/"])
+@pytest.mark.parametrize("bad", ["2/4", "1/0", "3/-5", "a", "1.5", "", "5/", "\u0661/\u0662"])
 def test_parse_rejects_bad_tokens(bad):
     with pytest.raises(ParseError):
         parse_rat(bad)

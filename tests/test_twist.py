@@ -34,6 +34,7 @@ from conicbundle.errors import (
     PinCollision,
     SingularFiberTarget,
 )
+from conicbundle import cli
 from conicbundle import twist as tw
 from conicbundle.projline import ladder
 from conicbundle.twist import (
@@ -570,7 +571,7 @@ def test_inverse_twist_composes_to_identity():
 def test_twist_json_roundtrip():
     twist = TwistMap(SPIN35, RatPoly((0, 2)))
     assert twist.as_json() == {"base": {"c": "3/5", "s": "4/5"}, "lambda": ["0", "2"]}
-    assert TwistMap.from_json(twist.as_json()) == twist
+    assert cli._twist(twist.as_json(), "twist") == twist
 
 
 def test_twist_group_property_on_samples():
