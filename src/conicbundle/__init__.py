@@ -63,7 +63,6 @@ from .projline import (
     config_equiv,
     cross_ratio,
     format_rat,
-    moebius_apply,
     moebius_from_triples,
     parse_rat,
     realizable_permutations,

@@ -48,14 +48,15 @@ def _int_token(value, path: str) -> int:
     m = pj._RAT_RE.match(value.strip()) if isinstance(value, str) else None
     if m is None or m.group(2) is not None:
         raise SchemaError(path, f"not an integer token: {value!r}")
-    return int(m.group(1))
+    return _rat(value, path).numerator
 
 
 def _rat(value, path: str, parse=pj.parse_rat):
     """A rational token; a P^1 token when parse is ProjPoint.from_token."""
     try:
         return parse(value)
-    except ParseError as exc:
+    except (ParseError, ValueError) as exc:
+        # ValueError: int() refuses more digits than sys.get_int_max_str_digits()
         raise SchemaError(path, str(exc)) from None
 
 

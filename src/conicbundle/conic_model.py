@@ -66,11 +66,12 @@ class ConicModel:
         return len(self.roots) // 2
 
     def q_at(self, x) -> Rat:
-        x = Fraction(x)
-        value = Fraction(-1)
+        p, q = Fraction(x).as_integer_ratio()
+        num, den = -1, 1
         for a in self.roots:
-            value *= x - a
-        return value
+            num *= p * a.denominator - a.numerator * q
+            den *= q * a.denominator
+        return Fraction(num, den)
 
     def q_poly(self) -> RatPoly:
         return RatPoly.from_roots(self.roots, scale=-1)

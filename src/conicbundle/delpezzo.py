@@ -33,6 +33,7 @@ from .projline import (
     IntervalConfig,
     ProjPoint,
     Rat,
+    _legendre,
     _walk_key,
     clear_denominators,
     format_rat,
@@ -289,15 +290,14 @@ _WITNESS_BUDGET = 40  # fibers the foliation witness search tries at most
 
 
 def _conic_point(c1: int, c2: int, c3: int) -> Optional[tuple]:
-    # First rational point on c1 x^2 + c2 y^2 + c3 z^2 = 0 in a growing box.
+    # First rational point on c1 x^2 + c2 y^2 + c3 z^2 = 0 in a growing box,
+    # shell max(x, |y|, |z|) = h by shell, each in lexicographic order.
+    if _legendre(c1, c2, c3) is False:
+        return None
     for h in range(1, _CONIC_BOUND + 1):
         for x in range(0, h + 1):
             for y in range(-h, h + 1):
-                for z in range(-h, h + 1):
-                    if max(x, abs(y), abs(z)) != h:
-                        continue
-                    if x == 0 and y == 0 and z == 0:
-                        continue
+                for z in range(-h, h + 1) if x == h or abs(y) == h else (-h, h):
                     if c1 * x * x + c2 * y * y + c3 * z * z == 0:
                         return (x, y, z)
     return None

@@ -92,6 +92,122 @@ def rational_sqrt(value: Rat) -> Optional[Rat]:
     return None
 
 
+# Trial division runs to _TRIAL_BOUND; as 2155^3 > 10^10, a cofactor of
+# n <= 10^10 then has at most two prime factors.
+_TRIAL_BOUND = 2155
+
+
+def _sieve(n: int) -> list:
+    # the primes up to n, by Eratosthenes
+    flags = bytearray([1]) * (n + 1)
+    for p in range(2, isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(2, n + 1) if flags[p]]
+
+
+_PRIMES = _sieve(_TRIAL_BOUND)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 3317044064679887385961981  # the bases above decide primality below it
+_RHO_BUDGET = 1 << 16  # Pollard rho steps one factorization may take
+
+
+def _is_prime(m: int) -> bool:
+    # deterministic Miller-Rabin for odd 2155 < m < _MR_LIMIT
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _factor(n: int) -> Optional[dict]:
+    """The prime factorization {p: e} of n >= 1, or None when it runs past
+    the work budget or a cofactor is too large for a primality proof."""
+    factors = {}
+    for p in _PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    pending = [n] if n > 1 else []
+    steps = 0
+    while pending:
+        m = pending.pop()
+        # every prime factor of m exceeds _TRIAL_BOUND
+        if m < _TRIAL_BOUND ** 2 or (m < _MR_LIMIT and _is_prime(m)):
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        if m >= _MR_LIMIT:
+            return None
+        r = isqrt(m)
+        if r * r == m:
+            pending += [r, r]
+            continue
+        # Pollard rho with Floyd's cycle finding, x -> x^2 + c mod m
+        c, d = 0, m
+        while d == m:
+            c += 1
+            x = y = 2
+            d = 1
+            while d == 1:
+                steps += 1
+                if steps > _RHO_BUDGET:
+                    return None
+                x = (x * x + c) % m
+                y = (y * y + c) % m
+                y = (y * y + c) % m
+                d = gcd(x - y, m)
+        pending += [d, m // d]
+    return factors
+
+
+def _legendre(a: int, b: int, c: int) -> Optional[bool]:
+    """Whether a x^2 + b y^2 + c z^2 = 0 has a nontrivial integer solution,
+    by Legendre's theorem; None when factoring a coefficient runs past its
+    budget.
+
+    Each coefficient is cut to its squarefree part, and a prime dividing two
+    of them moves to the third (multiply through by p and absorb p^2), or
+    cancels when it divides all three.  The reduced form is solvable exactly
+    when its signs are mixed and -bc, -ca and -ab are squares modulo every
+    odd prime of a, b and c respectively (Euler's criterion).
+    """
+    if a == 0 or b == 0 or c == 0:
+        return True
+    if (a > 0) == (b > 0) == (c > 0):
+        return False
+    primes = []
+    for v in (a, b, c):
+        f = _factor(abs(v))
+        if f is None:
+            return None
+        primes.append({p for p, e in f.items() if e % 2})
+    for p in set().union(*primes):
+        if sum(p in s for s in primes) >= 2:
+            for s in primes:
+                s ^= {p}
+    reduced = [(1 if v > 0 else -1) for v in (a, b, c)]
+    for i, s in enumerate(primes):
+        for p in s:
+            reduced[i] *= p
+    for i, s in enumerate(primes):
+        other = -reduced[i - 1] * reduced[i - 2]
+        if any(p > 2 and pow(other % p, (p - 1) // 2, p) != 1 for p in s):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class ProjPoint:
     """A point of P^1(Q) as a normalized integer pair (u0 : u1).
@@ -222,10 +338,6 @@ class Moebius:
 
     def as_json(self) -> dict:
         return {"a": str(self.a), "b": str(self.b), "c": str(self.c), "d": str(self.d)}
-
-
-def moebius_apply(m: Moebius, p: ProjPoint) -> ProjPoint:
-    return m.apply(p)
 
 
 def _through_standard(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Moebius:

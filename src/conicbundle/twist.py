@@ -29,7 +29,7 @@ from .errors import (
     SingularFiberTarget,
 )
 from .polynomial import RatPoly, solve_linear
-from .projline import Rat, format_rat, ladder
+from .projline import Rat, _legendre, format_rat, ladder
 
 
 @dataclass(frozen=True)
@@ -283,15 +283,19 @@ def tangent_coefficient(twist: TwistMap, x0: Rat) -> Rat:
             * (2 * c * (1 - lam * lam) - 4 * s * lam) / (1 + lam * lam) ** 2)
 
 
+_CIRCLE_BOUND = 10 ** 10  # largest num * den of rho the circle search tries
+
+
 def _rational_circle_point(rho: Rat) -> Optional[Tuple[Rat, Rat]]:
-    # A rational point on y^2 + z^2 = rho, if the bounded search finds one.
+    # A rational point on y^2 + z^2 = rho, if the bounded search finds one;
+    # there is one exactly when n is a sum of two integer squares.
     rho = Fraction(rho)
     if rho < 0:
         return None
     if rho == 0:
         return Fraction(0), Fraction(0)
     n = rho.numerator * rho.denominator
-    if n > 10 ** 10:
+    if n > _CIRCLE_BOUND or _legendre(1, 1, -n) is False:
         return None
     # The first hit has s <= t, else (t, s) came first; so s^2 <= n / 2.
     for s in range(isqrt(n // 2) + 1):

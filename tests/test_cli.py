@@ -276,6 +276,11 @@ def test_malformed_input_is_data_error_without_traceback(command, payload):
     ("biconic-image", {"model": dict(BICONIC, k=3)}, "model.k"),
     ("biconic-image", {"model": dict(BICONIC, k=0)}, "model.k"),
     *MISREAD,
+    # more digits than int() converts (sys.get_int_max_str_digits())
+    ("decide-birational", {"model1": {"roots": ["-1" + "0" * 5000, "0"]}, "model2": UNIT},
+     "model1.roots[0]"),
+    ("geiser", {"model": BICONIC, "point": {"xyz": ["1" + "0" * 5000, "0", "1"], "t": ["1", "2"]}},
+     "point.xyz[0]"),
 ])
 def test_schema_error_names_field(capsys, command, payload, field):
     code, out, err = invoke(capsys, command, payload)

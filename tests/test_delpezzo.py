@@ -22,8 +22,8 @@ from conicbundle import (
     second_fibration,
 )
 from conicbundle import cli
-from conicbundle.delpezzo import _conic_point, resultant
-from conicbundle.projline import clear_denominators, primitive
+from conicbundle.delpezzo import _CONIC_BOUND, _conic_point, resultant
+from conicbundle.projline import _legendre, clear_denominators, primitive
 from conicbundle.errors import (
     InvalidModel,
     MoveInfinityFirst,
@@ -394,3 +394,81 @@ def test_fiber_points_all_on_surface():
     for p in pts:
         assert p.t == t
         assert on_biconic(model, p)
+
+
+# -- rational points on a fiber conic ---------------------------------------------
+
+def reference_conic_point(c1, c2, c3):
+    # _conic_point before the solvability test and the shell walk: every cell
+    # of [0, h] x [-h, h]^2, keeping those on the shell max(x, |y|, |z|) = h.
+    for h in range(1, _CONIC_BOUND + 1):
+        for x in range(0, h + 1):
+            for y in range(-h, h + 1):
+                for z in range(-h, h + 1):
+                    if max(x, abs(y), abs(z)) != h:
+                        continue
+                    if x == 0 and y == 0 and z == 0:
+                        continue
+                    if c1 * x * x + c2 * y * y + c3 * z * z == 0:
+                        return (x, y, z)
+    return None
+
+
+def test_conic_point_matches_reference_on_conics_with_small_points():
+    # each conic is built through a point of height <= 5, so the reference
+    # stops early; both must return the same first point
+    rng = random.Random(37)
+    checked = 0
+    while checked < 300:
+        x, y, z = (rng.randint(0, 5) for _ in range(3))
+        c1, c2 = rng.choice([-1, 1]) * rng.randint(1, 40), rng.choice([-1, 1]) * rng.randint(1, 40)
+        rest = -(c1 * x * x + c2 * y * y)
+        if z == 0 or rest == 0 or rest % (z * z):
+            continue
+        c3 = rest // (z * z)
+        assert _conic_point(c1, c2, c3) == reference_conic_point(c1, c2, c3), (c1, c2, c3)
+        checked += 1
+
+
+def test_conic_point_matches_reference_on_small_coefficients():
+    for c1, c2, c3 in ((1, -1, 1), (1, 1, -2), (1, 1, -3), (2, -3, 1), (3, 5, -7),
+                       (1, 0, -1), (0, 0, 5), (5, 3, -2), (-2, -3, 7)):
+        assert _conic_point(c1, c2, c3) == reference_conic_point(c1, c2, c3), (c1, c2, c3)
+
+
+def test_legendre_no_point_means_the_box_is_empty():
+    # every ordered triple of nonzero coefficients up to 30 in absolute value;
+    # a box point, up to signs, is a nonzero (x, y, z) in [0, 20]^3
+    squares = [v * v for v in range(_CONIC_BOUND + 1)]
+    coefs = [c for c in range(-30, 31) if c]
+    for c1 in coefs:
+        for c2 in coefs:
+            pair_values = {c1 * a + c2 * b for a in squares for b in squares if a or b}
+            flat = 0 in pair_values
+            for c3 in coefs:
+                verdict = _legendre(c1, c2, c3)
+                assert verdict is not None, (c1, c2, c3)
+                has_point = flat or any(-c3 * s in pair_values for s in squares[1:])
+                assert verdict or not has_point, (c1, c2, c3)
+
+
+def test_legendre_agrees_with_checked_solutions():
+    # -21 x^2 - 73 y^2 + 129 z^2 = 0 at (16, 15, 13)
+    assert -21 * 16 ** 2 - 73 * 15 ** 2 + 129 * 13 ** 2 == 0
+    assert _legendre(-21, -73, 129) is True
+    assert _legendre(1, 1, 1) is False and _legendre(-2, -3, -5) is False
+    assert _legendre(1, 1, -3) is False  # -1 is not a square mod 3
+
+
+def test_conic_point_misses_a_point_outside_the_box():
+    # x^2 + y^2 - 1370 z^2 = 0 has (1, 37, 1), but no point with all three
+    # coordinates up to 20: then z != 0 and x^2 + y^2 <= 800 < 1370
+    assert 1 + 37 ** 2 - 1370 == 0
+    assert _legendre(1, 1, -1370) is True
+    assert _conic_point(1, 1, -1370) is None
+
+
+def test_conic_point_searches_when_factoring_gives_up():
+    big = (2 ** 89 - 1) * (2 ** 107 - 1)  # past the primality proof's range
+    assert _legendre(1, -1, big) is None
+    assert _conic_point(1, -1, big) == reference_conic_point(1, -1, big) == (1, -1, 0)

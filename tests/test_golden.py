@@ -2,7 +2,8 @@
 
 The records under perfbench/golden/ hold each request's argv, stdin, exit
 code and exact stdout.  Replaying them in process through cli.run pins the
-whole CLI surface, so a refactor that changes any output fails here.
+whole CLI surface, so a refactor that changes any output fails here.  A
+second replay runs under python -O.
 """
 
 import io
@@ -13,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from conicbundle.cli import run
+
+import support
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
@@ -28,15 +31,49 @@ def replay(argv, stdin):
     return code, out.getvalue()
 
 
-@pytest.mark.parametrize("workload", ["decide", "fiber-miss", "fiber-hit"])
-def test_golden_outputs_are_byte_identical(workload):
+WORKLOADS = ["decide", "fiber-miss", "fiber-hit"]
+
+
+def load(workload):
     record = json.loads((GOLDEN / f"{workload}.json").read_text())
     assert record["requests"]
-    drift = []
-    for k, entry in enumerate(record["requests"]):
-        code, out = replay(entry["argv"], entry["stdin"])
+    return record["requests"]
+
+
+def drift(requests, results):
+    """One line per request whose (exit code, stdout) differs from the record."""
+    lines = []
+    for k, (entry, (code, out)) in enumerate(zip(requests, results, strict=True)):
         if code != entry["exit"]:
-            drift.append(f"#{k} {' '.join(entry['argv'])}: exit {code}, recorded {entry['exit']}")
+            lines.append(f"#{k} {' '.join(entry['argv'])}: exit {code}, recorded {entry['exit']}")
         elif out != entry["stdout"]:
-            drift.append(f"#{k} {' '.join(entry['argv'])}: stdout bytes differ")
-    assert not drift, "\n".join(drift)
+            lines.append(f"#{k} {' '.join(entry['argv'])}: stdout bytes differ")
+    return lines
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_golden_outputs_are_byte_identical(workload):
+    requests = load(workload)
+    lost = drift(requests, [replay(e["argv"], e["stdin"]) for e in requests])
+    assert not lost, "\n".join(lost)
+
+
+# The same replay in a fresh interpreter under python -O, which strips assert
+# statements: every output must still come from checked code.
+OPTIMIZED_REPLAY = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_golden import WORKLOADS, load, replay
+print(json.dumps({"optimize": sys.flags.optimize, "results": {
+    w: [replay(e["argv"], e["stdin"]) for e in load(w)] for w in WORKLOADS}}))
+"""
+
+
+def test_golden_outputs_are_byte_identical_under_python_O():
+    proc = support.run_python("-O", "-c", OPTIMIZED_REPLAY, str(Path(__file__).parent))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["optimize"] == 1
+    lost = [f"{w} {line}" for w in WORKLOADS
+            for line in drift(load(w), report["results"][w])]
+    assert not lost, "\n".join(lost)

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +16,6 @@ from conicbundle import (
     config_equiv,
     cross_ratio,
     format_rat,
-    moebius_apply,
     moebius_from_triples,
     parse_rat,
     realizable_permutations,
@@ -27,6 +26,8 @@ from conicbundle.projline import (
     INF,
     ONE,
     ZERO,
+    _factor,
+    _legendre,
     clear_denominators,
     interval_image,
     primitive,
@@ -131,7 +132,7 @@ def test_point_tokens():
 # -- Moebius maps ------------------------------------------------------------
 
 def test_apply_identity():
-    assert moebius_apply(Moebius.identity(), ProjPoint(3, 1)) == ProjPoint(3, 1)
+    assert Moebius.identity().apply(ProjPoint(3, 1)) == ProjPoint(3, 1)
 
 
 def test_apply_swap_sends_infinity_to_zero():
@@ -518,3 +519,30 @@ def test_stabilizer_matches_oracle():
 def test_stabilizer_too_few_points():
     with pytest.raises(InfiniteStabilizer):
         stabilizer([ZERO, ONE])
+
+
+# -- factoring and Legendre's theorem ---------------------------------------------
+
+def is_prime_by_trial(p):
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def test_factor_is_a_prime_factorization():
+    rng = random.Random(41)
+    cases = [1, 2, 2153, 2161, 2155 ** 2, 2161 ** 2, 2161 * 2179, 2 ** 33, 3 ** 20 * 99991,
+             9999999929, 99991 ** 2, 99991 * 99971, 99989 * 99961, 2161 ** 3, 10 ** 10]
+    for n in cases + [rng.randint(1, 10 ** 10) for _ in range(60)]:
+        product = 1
+        for p, e in _factor(n).items():
+            assert is_prime_by_trial(p) and e >= 1, (n, p)
+            product *= p ** e
+        assert product == n
+
+
+def test_factor_gives_up_past_its_budget():
+    # two primes near 2^40: Pollard rho needs about 2^20 steps
+    p, q = 1099511627791, 1099511628401
+    assert is_prime_by_trial(p) and is_prime_by_trial(q)
+    assert _factor(p * q) is None
+    assert _factor((2 ** 89 - 1) * (2 ** 107 - 1)) is None
+    assert _legendre(1, 1, -p * q) is None

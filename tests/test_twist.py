@@ -415,6 +415,25 @@ def test_circle_scan_matches_reference_on_random_rationals():
         assert _rational_circle_point(rho) == reference_circle_point(rho), rho
 
 
+@pytest.mark.parametrize("n", [
+    9999999929,         # a prime = 1 mod 4 above the trial bound: a hit
+    9999999967,         # a prime = 3 mod 4 above the trial bound: a miss
+    99991 ** 2,         # p^2 with p = 3 mod 4: a hit
+    99991 * 99971,      # p q with p = q = 3 mod 4, both above the bound: rho, a miss
+    99989 * 99961,      # p q with p = q = 1 mod 4, both above the bound: rho, a hit
+], ids=["prime-1-mod-4", "prime-3-mod-4", "prime-square", "rho-miss", "rho-hit"])
+def test_circle_scan_matches_reference_past_trial_division(n):
+    for rho in (Fraction(n), Fraction(1, n)):
+        assert _rational_circle_point(rho) == reference_circle_point(rho), rho
+
+
+def test_circle_scan_matches_reference_on_random_large_integers():
+    rng = random.Random(29)
+    for _ in range(30):
+        n = rng.randint(20001, 10 ** 10)
+        assert _rational_circle_point(Fraction(n)) == reference_circle_point(n), n
+
+
 def reference_sample_surface_points(model, per_interval=2):
     # The sampler before the shared ladder, with its own ladder and filter.
     points = [SurfPoint(a, 0, 0) for a in model.roots]
