@@ -8,8 +8,6 @@ from typing import Iterable
 
 from .projline import Rat, format_rat
 
-NEG_INF = float("-inf")
-
 
 @dataclass(frozen=True)
 class RatPoly:
@@ -40,9 +38,9 @@ class RatPoly:
         return RatPoly((Fraction(0), Fraction(1)))
 
     @property
-    def degree(self):
-        """Degree as an int, or -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+    def degree(self) -> int:
+        """Degree as an int, with -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:

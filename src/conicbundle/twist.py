@@ -349,15 +349,12 @@ class TwistReport:
 
 
 def verify_twist(model: ConicModel, twist: TwistMap) -> TwistReport:
-    """Certify the base rotation, membership preservation and invertibility.
+    """Certify membership preservation and invertibility on sampled points.
 
-    psi(lambda(x)) is a rotation for every lambda by construction, so only
-    the base rotation R0 needs an orthogonality check.
+    The base rotation R0 is on the unit circle by construction (`Rotation`
+    rejects any other), and psi(lambda(x)) is a rotation for every lambda,
+    so neither needs a check here.
     """
-    base = twist.base
-    if base.c * base.c + base.s * base.s != 1:
-        # without orthogonality the fiber maps are not rotations at all
-        return TwistReport(False, ("orthogonality: base rotation has c^2 + s^2 != 1",), 0)
     failures = []
     inv = inverse_twist(twist)
     points = sample_surface_points(model)

@@ -2,8 +2,10 @@
 
 The oracles here deliberately avoid the library's own decision paths: the
 configuration and stabilizer oracles enumerate every ordered triple and
-verify each candidate on the whole set, and the planner oracle is a plain
-flood fill over a boolean grid.
+verify each candidate on the whole set, the planner oracle is a plain
+flood fill over a boolean grid, and the interpolation oracle builds a Hermite
+divided-difference table instead of solving the library's confluent
+Vandermonde system.
 """
 
 import os
@@ -17,12 +19,13 @@ from conicbundle import (
     ConicModel,
     IntervalConfig,
     Moebius,
+    RatPoly,
     Rect,
     Region,
     moebius_from_triples,
     parse_rat,
 )
-from conicbundle.errors import InfiniteStabilizer, InvalidTriple
+from conicbundle.errors import DuplicateNode, InfiniteStabilizer, InvalidTriple
 from conicbundle.projline import _walk_key
 from conicbundle.twist import ladder_fibers
 
@@ -271,3 +274,40 @@ def random_region_point(rng, region):
     x = rect.x0 + Fraction(rng.randint(1, 3), 4) * (rect.x1 - rect.x0)
     y = rect.y0 + Fraction(rng.randint(1, 3), 4) * (rect.y1 - rect.y0)
     return (x, y)
+
+
+def hermite_interpolate(nodes) -> RatPoly:
+    """Minimal-degree polynomial through values and optional derivatives.
+
+    Nodes are (x, value) or (x, value, derivative) with pairwise distinct x.
+    Hermite divided differences (Stoer & Bulirsch, Introduction to Numerical
+    Analysis, 2.1.5): a node with a derivative enters the table twice, and
+    the first divided difference of that doubled abscissa is the derivative.
+    """
+    zs = []
+    table = []
+    slopes = {}  # table index of a doubled abscissa's second copy -> derivative
+    for node in nodes:
+        x, value = Fraction(node[0]), Fraction(node[1])
+        deriv = Fraction(node[2]) if len(node) > 2 and node[2] is not None else None
+        if x in zs:
+            raise DuplicateNode(f"repeated interpolation node x = {x}")
+        zs.append(x)
+        table.append(value)
+        if deriv is not None:
+            slopes[len(zs)] = deriv
+            zs.append(x)
+            table.append(value)
+    # Column k overwrites table[i] with f[z_{i-k}, ..., z_i], bottom up; only
+    # the doubled abscissae of a jet can coincide, and only in column 1.
+    for k in range(1, len(zs)):
+        for i in range(len(zs) - 1, k - 1, -1):
+            if zs[i] == zs[i - k]:
+                table[i] = slopes[i]
+            else:
+                table[i] = (table[i] - table[i - 1]) / (zs[i] - zs[i - k])
+    # Newton form f[z_0] + f[z_0, z_1] (x - z_0) + ..., expanded by Horner.
+    poly = RatPoly.zero()
+    for z, coeff in zip(reversed(zs), reversed(table)):
+        poly = poly * RatPoly((-z, Fraction(1))) + RatPoly.constant(coeff)
+    return poly

@@ -159,6 +159,8 @@ def test_scaling_rejects_non_proportional():
         scaling_iso(model, model.q_poly() * -3)
     with pytest.raises(NotProportional):
         scaling_iso(ConicModel((0, 1)), ConicModel((0, 2)).q_poly())
+    with pytest.raises(NotProportional):
+        scaling_iso(model, RatPoly.zero())
 
 
 # -- component index -----------------------------------------------------------

@@ -1,7 +1,8 @@
 """Source invariants of the library, checked on its syntax tree.
 
-Postconditions must survive `python -O`, which strips assert statements, and
-the runtime depends on the standard library only.
+Postconditions must survive `python -O`, which strips assert statements, the
+runtime depends on the standard library only, and the arithmetic is exact:
+no float literal and no use of the name `float`.
 """
 
 import ast
@@ -42,4 +43,16 @@ def test_imports_are_stdlib_or_package():
     found = [f"{name}:{node.lineno} {root}" for name, tree in _trees()
              for node in ast.walk(tree) for root in _imported_roots(node)
              if root not in allowed]
+    assert found == []
+
+
+def _is_float(node):
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (float, complex))
+    return isinstance(node, ast.Name) and node.id == "float"
+
+
+def test_no_floats():
+    found = [f"{name}:{node.lineno}" for name, tree in _trees()
+             for node in ast.walk(tree) if _is_float(node)]
     assert found == []
