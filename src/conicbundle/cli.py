@@ -11,7 +11,6 @@ object to stderr whose "error" is "malformed-json", "schema" (with the
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import random
 import sys
@@ -215,7 +214,7 @@ def _cmd_geiser(payload):
     image = dp.geiser(_field(payload, "", "model", _biconic),
                       _field(payload, "", "point", _bipoint))
     return 0, {"image": image.as_json(),
-               "second_fibration": [str(image.t.u0), str(image.t.u1)]}
+               "second_fibration": [pj.format_rat(image.t.u0), pj.format_rat(image.t.u1)]}
 
 
 def _cmd_biconic_image(payload):
@@ -395,9 +394,8 @@ _HANDLERS = {
 SUBCOMMANDS = (*_HANDLERS, "selftest")
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and reused by run()."""
+    """The argument parser, built by the first run() and reused after it."""
     parser = argparse.ArgumentParser(
         prog="conicbundle",
         description="Exact decision procedures for real conic-bundle models.")
@@ -411,10 +409,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None
+
+
 def run(argv) -> int:
     """Dispatch a parsed command line; returns the process exit code."""
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

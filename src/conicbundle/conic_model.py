@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -65,13 +66,21 @@ class ConicModel:
     def r(self) -> int:
         return len(self.roots) // 2
 
-    def q_at(self, x) -> Rat:
-        p, q = Fraction(x).as_integer_ratio()
+    @cached_property
+    def _root_ratios(self) -> tuple:
+        return tuple(a.as_integer_ratio() for a in self.roots)
+
+    def q_ratio(self, x: Rat) -> tuple:
+        """Q(x) as integers (num, den) with den > 0, not reduced."""
+        p, q = x.as_integer_ratio()
         num, den = -1, 1
-        for a in self.roots:
-            num *= p * a.denominator - a.numerator * q
-            den *= q * a.denominator
-        return Fraction(num, den)
+        for an, ad in self._root_ratios:
+            num *= p * ad - an * q
+            den *= q * ad
+        return num, den
+
+    def q_at(self, x) -> Rat:
+        return Fraction(*self.q_ratio(Fraction(x)))
 
     def q_poly(self) -> RatPoly:
         return RatPoly.from_roots(self.roots, scale=-1)

@@ -155,8 +155,8 @@ class BiPoint:
         object.__setattr__(self, "xyz", primitive(x, y, z))
 
     def as_json(self) -> dict:
-        return {"xyz": [str(v) for v in self.xyz],
-                "t": [str(self.t.u0), str(self.t.u1)]}
+        return {"xyz": [format_rat(v) for v in self.xyz],
+                "t": [format_rat(self.t.u0), format_rat(self.t.u1)]}
 
 
 def on_biconic(model: BiconicModel, p: BiPoint) -> bool:

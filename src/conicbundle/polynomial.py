@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable
 
-from .projline import Rat, format_rat
+from .projline import Rat, clear_denominators, format_rat
 
 
 @dataclass(frozen=True)
@@ -70,12 +72,25 @@ class RatPoly:
 
     __rmul__ = __mul__
 
+    @cached_property
+    def _cleared(self) -> tuple:
+        """(L, the integers L * coeffs, high to low) for L the lcm of the
+        denominators; computed once per polynomial, outside __eq__ and hash."""
+        return (lcm(*(c.denominator for c in self.coeffs)),
+                clear_denominators(reversed(self.coeffs)))
+
     def evaluate(self, x) -> Rat:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Homogeneous Horner at x = p/q in integers: with a_i = L * c_i,
+        P(x) = (sum a_i p^i q^(d - i)) / (L q^d), reduced once."""
+        if not self.coeffs:
+            return Fraction(0)
+        den, ints = self._cleared
+        p, q = Fraction(x).as_integer_ratio()
+        acc, qk = 0, 1
+        for a in ints:
+            acc = acc * p + a * qk
+            qk *= q
+        return Fraction(acc, den * qk // q)
 
     __call__ = evaluate
 

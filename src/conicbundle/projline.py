@@ -46,10 +46,20 @@ def parse_rat(token: str) -> Rat:
 
 
 def format_rat(value: Rat) -> str:
-    """Serialize a rational as "p/q", omitting "/q" when q is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Serialize a rational (or an int) as "p/q", omitting "/q" when q is 1."""
+    text = _decimal(value.numerator)
+    return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of n, split at a power of ten wherever str(n) would
+    pass sys.get_int_max_str_digits(); the limit itself is left alone."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+        hi, lo = divmod(abs(n), 10 ** k)
+        return ("-" if n < 0 else "") + _decimal(hi) + _decimal(lo).zfill(k)
 
 
 def primitive(*ints: int) -> tuple:
@@ -275,8 +285,12 @@ LADDER = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16)
 def ladder(lo: Rat, hi: Rat) -> Iterator[list]:
     """One rung per denominator den of LADDER: lo + (num/den)(hi - lo) for
     0 < num < den, each strictly between lo and hi."""
+    # With lo = a/b and hi = c/d that point is (ad(den - num) + cb num) / (bd den).
+    a, b = lo.as_integer_ratio()
+    c, d = hi.as_integer_ratio()
+    ad, cb, bd = a * d, c * b, b * d
     for den in LADDER:
-        yield [lo + Fraction(num, den) * (hi - lo) for num in range(1, den)]
+        yield [Fraction(ad * (den - num) + cb * num, bd * den) for num in range(1, den)]
 
 
 @dataclass(frozen=True)
@@ -337,7 +351,8 @@ class Moebius:
         return Moebius(self.d, -self.b, -self.c, self.a)
 
     def as_json(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b), "c": str(self.c), "d": str(self.d)}
+        return {"a": format_rat(self.a), "b": format_rat(self.b),
+                "c": format_rat(self.c), "d": format_rat(self.d)}
 
 
 def _through_standard(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Moebius:

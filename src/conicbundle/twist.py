@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .conic_model import ConicModel, SurfPoint, on_surface
@@ -41,7 +41,11 @@ class Rotation:
 
     def __post_init__(self):
         c, s = Fraction(self.c), Fraction(self.s)
-        if c * c + s * s != 1:
+        # c^2 + s^2 = 1 in integers: with c = a/h and s = b/k in lowest terms,
+        # a^2 k^2 + b^2 h^2 = h^2 k^2 makes h^2 divide a^2 k^2, so h | k, and
+        # k | h alike; hence h = k and a^2 + b^2 = h^2, and conversely.
+        h = c.denominator
+        if s.denominator != h or c.numerator ** 2 + s.numerator ** 2 != h * h:
             raise InvalidModel(f"({c}, {s}) is not on the unit circle")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "s", s)
@@ -55,24 +59,33 @@ class Rotation:
         return self.c == 1 and self.s == 0
 
     def compose(self, other: "Rotation") -> "Rotation":
-        return Rotation(self.c * other.c - self.s * other.s,
-                        self.s * other.c + self.c * other.s)
+        # c and s share their denominator, so (a/h, b/h)(a'/k, b'/k) is
+        # ((aa' - bb')/hk, (ba' + ab')/hk).
+        a, b, h = self.c.numerator, self.s.numerator, self.c.denominator
+        a2, b2, k = other.c.numerator, other.s.numerator, other.c.denominator
+        return Rotation(Fraction(a * a2 - b * b2, h * k), Fraction(b * a2 + a * b2, h * k))
 
     def inverse(self) -> "Rotation":
         return Rotation(self.c, -self.s)
 
     def apply(self, y: Rat, z: Rat) -> Tuple[Rat, Rat]:
-        return self.c * y - self.s * z, self.s * y + self.c * z
+        # (c y - s z, s y + c z) over the one denominator h * y2 * z2.
+        a, b, h = self.c.numerator, self.s.numerator, self.c.denominator
+        y1, y2 = y.as_integer_ratio()
+        z1, z2 = z.as_integer_ratio()
+        u, v, w = y1 * z2, z1 * y2, h * y2 * z2
+        return Fraction(a * u - b * v, w), Fraction(b * u + a * v, w)
 
     def as_json(self) -> dict:
         return {"c": format_rat(self.c), "s": format_rat(self.s)}
 
 
 def rotation_from_param(lam: Rat) -> Rotation:
-    """psi(lam) = ((1 - lam^2)/(1 + lam^2), 2 lam/(1 + lam^2))."""
-    lam = Fraction(lam)
-    den = 1 + lam * lam
-    return Rotation((1 - lam * lam) / den, 2 * lam / den)
+    """psi(lam) = ((1 - lam^2)/(1 + lam^2), 2 lam/(1 + lam^2)), which is
+    ((q^2 - p^2)/(q^2 + p^2), 2pq/(q^2 + p^2)) for lam = p/q."""
+    p, q = Fraction(lam).as_integer_ratio()
+    h = q * q + p * p
+    return Rotation(Fraction(q * q - p * p, h), Fraction(2 * p * q, h))
 
 
 def rotation_between(model: ConicModel, x: Rat, frm: Tuple[Rat, Rat],
@@ -286,15 +299,14 @@ def tangent_coefficient(twist: TwistMap, x0: Rat) -> Rat:
 _CIRCLE_BOUND = 10 ** 10  # largest num * den of rho the circle search tries
 
 
-def _rational_circle_point(rho: Rat) -> Optional[Tuple[Rat, Rat]]:
-    # A rational point on y^2 + z^2 = rho, if the bounded search finds one;
-    # there is one exactly when n is a sum of two integer squares.
-    rho = Fraction(rho)
-    if rho < 0:
-        return None
-    if rho == 0:
-        return Fraction(0), Fraction(0)
-    n = rho.numerator * rho.denominator
+def _circle_solution(num: int, den: int) -> Optional[Tuple[int, int]]:
+    # Integers (s, t) with s^2 + t^2 = num * den, i.e. the point (s/den, t/den)
+    # on y^2 + z^2 = num/den (lowest terms, den > 0), if the bounded search
+    # finds one; there is one exactly when n = num * den is a sum of two
+    # integer squares.
+    if num <= 0:
+        return (0, 0) if num == 0 else None
+    n = num * den
     if n > _CIRCLE_BOUND or _legendre(1, 1, -n) is False:
         return None
     # The first hit has s <= t, else (t, s) came first; so s^2 <= n / 2.
@@ -302,18 +314,32 @@ def _rational_circle_point(rho: Rat) -> Optional[Tuple[Rat, Rat]]:
         rest = n - s * s
         t = isqrt(rest)
         if t * t == rest:
-            return Fraction(s, rho.denominator), Fraction(t, rho.denominator)
+            return s, t
     return None
 
 
-def find_fiber_point(model: ConicModel, x: Rat) -> Optional[SurfPoint]:
-    """A rational surface point over x, when the fiber circle has one."""
-    x = Fraction(x)
-    rho = model.q_at(x)
-    got = _rational_circle_point(rho)
+def _rational_circle_point(rho: Rat) -> Optional[Tuple[Rat, Rat]]:
+    # A rational point on y^2 + z^2 = rho, if the bounded search finds one.
+    rho = Fraction(rho)
+    got = _circle_solution(rho.numerator, rho.denominator)
     if got is None:
         return None
-    return SurfPoint(x, got[0], got[1])
+    return Fraction(got[0], rho.denominator), Fraction(got[1], rho.denominator)
+
+
+def find_fiber_point(model: ConicModel, x: Rat) -> Optional[SurfPoint]:
+    """A rational surface point over x, when the fiber circle has one.
+
+    A miss is decided on the integers of Q(x) and builds no Fraction."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    num, den = model.q_ratio(x)
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    got = _circle_solution(num, den)
+    if got is None:
+        return None
+    return SurfPoint(x, Fraction(got[0], den), Fraction(got[1], den))
 
 
 def ladder_fibers(model: ConicModel, lo: Rat, hi: Rat) -> Iterator[SurfPoint]:

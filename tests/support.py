@@ -5,7 +5,8 @@ configuration and stabilizer oracles enumerate every ordered triple and
 verify each candidate on the whole set, the planner oracle is a plain
 flood fill over a boolean grid, and the interpolation oracle builds a Hermite
 divided-difference table instead of solving the library's confluent
-Vandermonde system.
+Vandermonde system.  The Fraction references at the end are the
+Fraction-by-Fraction forms of the fiber layers' integer kernels.
 """
 
 import os
@@ -26,13 +27,27 @@ from conicbundle import (
     parse_rat,
 )
 from conicbundle.errors import DuplicateNode, InfiniteStabilizer, InvalidTriple
-from conicbundle.projline import _walk_key
+from conicbundle.projline import LADDER, _walk_key
 from conicbundle.twist import ladder_fibers
 
 
 def moebius_from_json(obj):
     """The Moebius map of a witness as the CLI writes it, {"a", "b", "c", "d"}."""
     return Moebius.from_rational(*(parse_rat(obj[k]) for k in "abcd"))
+
+
+def decimal_digits(n):
+    """str(n) at any size, built from 1,000-digit chunks so that
+    sys.get_int_max_str_digits() never applies."""
+    chunk = 10 ** 1000
+    sign, n = ("-" if n < 0 else ""), abs(n)
+    parts = []
+    while True:
+        n, low = divmod(n, chunk)
+        parts.append(low)
+        if not n:
+            break
+    return sign + str(parts[-1]) + "".join(str(p).zfill(1000) for p in reversed(parts[:-1]))
 
 
 def run_python(*args, stdin=None):
@@ -311,3 +326,50 @@ def hermite_interpolate(nodes) -> RatPoly:
     for z, coeff in zip(reversed(zs), reversed(table)):
         poly = poly * RatPoly((-z, Fraction(1))) + RatPoly.constant(coeff)
     return poly
+
+
+# ---------------------------------------------------------------------------
+# Fraction references: the integer kernels of RatPoly.evaluate,
+# ConicModel.q_at, ladder and the rotations, one Fraction operation at a time.
+
+
+def reference_evaluate(poly, x):
+    """Horner's rule on Fractions."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def reference_q_at(model, x):
+    """Q(x) = -(x - a_1)...(x - a_2r) as a product of Fractions."""
+    value = Fraction(-1)
+    for a in model.roots:
+        value *= Fraction(x) - a
+    return value
+
+
+def reference_ladder(lo, hi):
+    """The rungs lo + (num/den)(hi - lo), 0 < num < den, for den in LADDER."""
+    return [[lo + Fraction(num, den) * (hi - lo) for num in range(1, den)] for den in LADDER]
+
+
+def reference_rotation_from_param(lam):
+    """(c, s) of psi(lam) = ((1 - lam^2)/(1 + lam^2), 2 lam/(1 + lam^2))."""
+    lam = Fraction(lam)
+    den = 1 + lam * lam
+    return (1 - lam * lam) / den, 2 * lam / den
+
+
+def reference_on_unit_circle(c, s):
+    c, s = Fraction(c), Fraction(s)
+    return c * c + s * s == 1
+
+
+def reference_compose(r1, r2):
+    return r1.c * r2.c - r1.s * r2.s, r1.s * r2.c + r1.c * r2.s
+
+
+def reference_apply(rot, y, z):
+    return rot.c * y - rot.s * z, rot.s * y + rot.c * z

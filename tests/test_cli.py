@@ -19,6 +19,7 @@ from conicbundle import (
     cli,
 )
 from conicbundle.cli import run
+from conicbundle.projline import ProjPoint
 from conicbundle.projline import interval_image as arc_image
 
 import support
@@ -107,6 +108,24 @@ def test_stabilizer_three_points(capsys):
     code, out, _ = invoke(capsys, "stabilizer", {"points": ["0", "1", "inf"]})
     assert code == 0
     assert out["order"] == 6
+
+
+def test_stabilizer_prints_numbers_past_the_digit_limit(capsys):
+    # The maps' entries have about 5,000 digits, past the 4,300 that str()
+    # converts by default; the answer prints them exactly, and the limit
+    # itself stays as it was.
+    limit = sys.get_int_max_str_digits()
+    tokens = ["0", "1", "1" + "0" * 2500, "-3" + "0" * 2500]
+    code, out, _ = invoke(capsys, "stabilizer", {"points": tokens})
+    assert code == 0
+    points = [ProjPoint.from_rat(v) for v in (0, 1, 10 ** 2500, -3 * 10 ** 2500)]
+    expected = [{k: support.decimal_digits(getattr(m, k)) for k in "abcd"}
+                for m in support.oracle_stabilizer(points)]
+    key = lambda entry: [entry[k] for k in "abcd"]
+    assert out["order"] == len(expected) == 4
+    assert sorted(out["stabilizer"], key=key) == sorted(expected, key=key)
+    assert max(len(v) for entry in out["stabilizer"] for v in entry.values()) > 4300
+    assert sys.get_int_max_str_digits() == limit
 
 
 # -- twist commands -----------------------------------------------------------------

@@ -61,6 +61,21 @@ def test_model_from_config_single_interval():
     assert model.q_at(2) == -2
 
 
+def test_q_at_matches_fraction_product():
+    rng = random.Random(61)
+    for r in (1, 2, 3):
+        for _ in range(30):
+            height = rng.choice((8, 10 ** 3, 10 ** 6))
+            roots = set()
+            while len(roots) < 2 * r:
+                roots.add(Fraction(rng.randint(-height, height), rng.randint(1, 12)))
+            model = ConicModel(tuple(sorted(roots)))
+            xs = list(model.roots) + [0, -3, 10 ** 6, Fraction(-1, 7)]
+            xs += [Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(10)]
+            for x in xs:
+                assert model.q_at(x) == support.reference_q_at(model, x), (model, x)
+
+
 def test_model_from_config_collects_boundaries():
     model = model_from_config(cfg((0, 1), (2, 3)))
     assert model.roots == (0, 1, 2, 3)

@@ -2,7 +2,10 @@
 
 Postconditions must survive `python -O`, which strips assert statements, the
 runtime depends on the standard library only, and the arithmetic is exact:
-no float literal and no use of the name `float`.
+no float literal and no use of the name `float`.  Memory stays per request:
+no process-wide memo (`functools.cache`, `functools.lru_cache`; a per-instance
+`cached_property` is fine).  Fractions are built through their public
+constructor only: the private `_normalize` argument is gone in Python 3.12.
 """
 
 import ast
@@ -55,4 +58,27 @@ def _is_float(node):
 def test_no_floats():
     found = [f"{name}:{node.lineno}" for name, tree in _trees()
              for node in ast.walk(tree) if _is_float(node)]
+    assert found == []
+
+
+_MEMOS = {"cache", "lru_cache"}
+
+
+def _is_memo(node):
+    if isinstance(node, ast.ImportFrom) and node.module == "functools":
+        return any(alias.name in _MEMOS for alias in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr in _MEMOS
+            and isinstance(node.value, ast.Name) and node.value.id == "functools")
+
+
+def test_no_process_wide_memo():
+    found = [f"{name}:{node.lineno}" for name, tree in _trees()
+             for node in ast.walk(tree) if _is_memo(node)]
+    assert found == []
+
+
+def test_no_private_fraction_argument():
+    found = [f"{name}:{node.value.lineno}" for name, tree in _trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.keyword) and node.arg == "_normalize"]
     assert found == []

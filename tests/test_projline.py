@@ -1,6 +1,7 @@
 """Projective line: points, Moebius maps, arcs, configurations, decisions."""
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -50,6 +51,21 @@ points = st.one_of(st.builds(pt, rationals), st.just(INF))
 def test_parse_and_format_roundtrip():
     for token in ["0", "5", "-3", "7/3", "-12/5"]:
         assert format_rat(parse_rat(token)) == token
+
+
+@pytest.mark.parametrize("k", [4300, 4310, 9000, 30000])
+def test_format_rat_past_the_digit_limit(k):
+    limit = sys.get_int_max_str_digits()
+    n = 10 ** k + 123456789
+    digits = "1" + "0" * (k - 9) + "123456789"
+    assert format_rat(n) == digits
+    assert format_rat(Fraction(-n)) == "-" + digits
+    assert format_rat(Fraction(n * 10 ** k + 7)) == digits + "0" * (k - 1) + "7"
+    assert format_rat(Fraction(-7, n)) == "-7/" + digits
+    assert format_rat(Fraction(n, 3)) == digits + "/3"
+    assert format_rat(Fraction(n, n + 2)) == (
+        support.decimal_digits(n) + "/" + support.decimal_digits(n + 2))
+    assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize("bad", ["2/4", "1/0", "3/-5", "a", "1.5", "", "5/", "\u0661/\u0662"])

@@ -76,11 +76,78 @@ def test_ratpoly_from_roots():
     assert q.evaluate(2) == -2
 
 
+def random_fraction(rng, height):
+    return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+
+def test_evaluate_matches_fraction_horner():
+    rng = random.Random(41)
+    polys = [RatPoly.zero(), RatPoly.one(), RatPoly.constant(Fraction(-7, 3))]
+    for _ in range(150):
+        height = rng.choice((6, 10 ** 3, 10 ** 6))
+        polys.append(RatPoly(tuple(random_fraction(rng, height)
+                                   for _ in range(rng.randint(1, 15)))))
+    xs = [0, 1, -1, 5, -12, Fraction(1, 2), Fraction(-7, 3), Fraction(10 ** 6, 999983)]
+    for poly in polys:
+        for x in xs + [random_fraction(rng, rng.choice((9, 10 ** 6))) for _ in range(4)]:
+            assert poly.evaluate(x) == support.reference_evaluate(poly, x), (poly, x)
+    assert max(p.degree for p in polys) == 14
+    # the cached integer form stays out of equality and hashing
+    poly = polys[-1]
+    twin = RatPoly(poly.coeffs)
+    assert poly == twin and hash(poly) == hash(twin) and repr(poly) == repr(twin)
+
+
 # -- rotations -----------------------------------------------------------------
 
 def test_rotation_validates_circle():
     with pytest.raises(ValueError):
         Rotation(Fraction(1, 2), Fraction(1, 2))
+
+
+def test_rotation_circle_check_matches_fraction_reference():
+    rng = random.Random(43)
+    pairs = [(Fraction(3, 5), Fraction(3, 5)),    # equal denominators, off the circle
+             (Fraction(3, 5), Fraction(4, 7)),    # unequal denominators
+             (Fraction(3, 5), Fraction(2, 5)), (Fraction(1, 2), Fraction(1, 2)),
+             (Fraction(3, 5), Fraction(4, 5)), (Fraction(-5, 13), Fraction(12, 13)),
+             (Fraction(6, 10), Fraction(-8, 10)), (0, 1), (1, 0), (-1, 0), (0, -1),
+             (1, 1), (0, 0), (2, 0), (Fraction(1, 5), Fraction(1, 5))]
+    for _ in range(400):
+        p, q = rng.randint(-60, 60), rng.randint(1, 60)
+        h = p * p + q * q
+        a, b = q * q - p * p, 2 * p * q
+        pairs += [(Fraction(a, h), Fraction(b, h)),                # on the circle
+                  (Fraction(a + rng.choice((-1, 1)), h), Fraction(b, h)),
+                  (Fraction(b, h), Fraction(a, h + rng.randint(1, 3))),
+                  (random_fraction(rng, 12), random_fraction(rng, 12))]
+    accepted = 0
+    for c, s in pairs:
+        expected = support.reference_on_unit_circle(c, s)
+        try:
+            Rotation(c, s)
+            got = True
+        except ValueError:
+            got = False
+        assert got == expected, (c, s)
+        accepted += got
+    assert 400 < accepted < len(pairs) - 400
+
+
+def test_rotation_kernels_match_fraction_reference():
+    rng = random.Random(47)
+    lams = [0, 1, -1, Fraction(1, 2), Fraction(-3, 7), 10 ** 6, Fraction(1, 10 ** 6)]
+    lams += [random_fraction(rng, rng.choice((9, 10 ** 3, 10 ** 6))) for _ in range(200)]
+    rotations = []
+    for lam in lams:
+        rot = rotation_from_param(lam)
+        assert (rot.c, rot.s) == support.reference_rotation_from_param(lam), lam
+        rotations.append(rot)
+    for _ in range(200):
+        r1, r2 = rng.choice(rotations), rng.choice(rotations)
+        assert (r1.compose(r2).c, r1.compose(r2).s) == support.reference_compose(r1, r2)
+        y, z = random_fraction(rng, 10 ** 3), rng.choice((0, 3, random_fraction(rng, 50)))
+        assert r1.apply(y, z) == support.reference_apply(r1, y, z), (r1, y, z)
 
 
 def test_rotation_between_identity():
@@ -510,6 +577,36 @@ def test_ladder_rungs():
     assert rungs[0] == [Fraction(11, 4)]
     assert all(lo < x < hi for rung in rungs for x in rung)
     assert all(rung == sorted(rung) for rung in rungs)
+
+
+def test_ladder_matches_fraction_reference():
+    rng = random.Random(53)
+    ends = [(Fraction(-3, 2), Fraction(7)), (Fraction(0), Fraction(1)), (-5, -2)]
+    for _ in range(100):
+        height = rng.choice((8, 10 ** 3, 10 ** 6))
+        lo = random_fraction(rng, height)
+        ends.append((lo, lo + Fraction(rng.randint(1, height), rng.randint(1, height))))
+    for lo, hi in ends:
+        assert list(ladder(lo, hi)) == support.reference_ladder(lo, hi), (lo, hi)
+
+
+def test_find_fiber_point_matches_fraction_reference():
+    # The integer miss path against Q(x) as a Fraction product fed to the
+    # Fraction circle search: hits, misses, root fibers and empty fibers.
+    rng = random.Random(59)
+    for _ in range(40):
+        height = rng.choice((8, 50, 500, 5000))
+        model = support.random_model(rng, rng.randint(1, 3), -height, height)
+        xs = list(model.roots) + [model.roots[0] - 1, model.roots[-1] + Fraction(1, 3)]
+        for lo, hi in zip(model.roots[::2], model.roots[1::2]):
+            xs += [x for rung in ladder(lo, hi) for x in rung]
+        hits = 0
+        for x in xs:
+            got = _rational_circle_point(support.reference_q_at(model, x))
+            expected = None if got is None else SurfPoint(x, *got)
+            assert tw.find_fiber_point(model, x) == expected, (model, x)
+            hits += expected is not None
+        assert hits >= len(model.roots)
 
 
 def test_ladder_fibers_take_first_point_of_each_rung():
