@@ -98,9 +98,9 @@ class SurfPoint:
     z: Rat
 
     def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
-        object.__setattr__(self, "z", Fraction(self.z))
+        for name in ("x", "y", "z"):
+            if not isinstance(getattr(self, name), Fraction):
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
 
     def as_json(self) -> dict:
         return {"x": format_rat(self.x), "y": format_rat(self.y), "z": format_rat(self.z)}

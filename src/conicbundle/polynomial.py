@@ -18,7 +18,7 @@ class RatPoly:
     coeffs: tuple
 
     def __post_init__(self):
-        cs = [Fraction(c) for c in self.coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -116,18 +116,37 @@ class RatPoly:
 
 
 def solve_linear(rows: list, rhs: list) -> list:
-    """Solve a square rational linear system by Gaussian elimination."""
+    """Solve a square rational linear system by fraction-free elimination.
+
+    Each row is cleared to integers by its own lcm, and the scaled right-hand
+    side is put over one denominator D.  One-step Bareiss elimination (Math.
+    Comp. 22, 1968) follows.  Its division by the previous pivot is exact by
+    Sylvester's identity, as every entry is a minor of the row-permuted
+    matrix.  The last pivot det is that matrix's determinant, so by Cramer's
+    rule det * D * x_i is an integer and back-substitution divides exactly.
+    """
     n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+    rows = [[v if isinstance(v, Fraction) else Fraction(v) for v in row] for row in rows]
+    aug = [list(clear_denominators(row)) for row in rows]
+    scaled = [Fraction(b) * lcm(*(v.denominator for v in row)) for row, b in zip(rows, rhs)]
+    den = lcm(*(b.denominator for b in scaled))
+    for row, b in zip(aug, clear_denominators(scaled)):
+        row.append(b)
+    det = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if aug[r][k]), None)
         if pivot is None:
             raise ValueError("singular linear system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        head, tail = aug[k][k], aug[k][k + 1:]
+        for row in aug[k + 1:]:
+            lead = row[k]
+            row[k + 1:] = [(head * v - lead * w) // det for v, w in zip(row[k + 1:], tail)]
+        det = head
+    nums = [0] * n
+    for i in range(n - 1, -1, -1):
+        known = sum(a * y for a, y in zip(aug[i][i + 1:n], nums[i + 1:]))
+        nums[i], rem = divmod(det * aug[i][n] - known, aug[i][i])
+        if rem:
+            raise AssertionError("inexact back-substitution")
+    return [Fraction(num, det * den) for num in nums]

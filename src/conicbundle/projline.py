@@ -86,7 +86,7 @@ def clear_denominators(values) -> tuple:
     Neither divides by the gcd nor changes the sign: the sign of a cleared
     form can carry meaning (see delpezzo._interval_form).
     """
-    values = [Fraction(v) for v in values]
+    values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
     m = lcm(*(v.denominator for v in values))
     return tuple([v.numerator * (m // v.denominator) for v in values])
 

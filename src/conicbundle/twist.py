@@ -40,7 +40,7 @@ class Rotation:
     s: Rat
 
     def __post_init__(self):
-        c, s = Fraction(self.c), Fraction(self.s)
+        c, s = (v if isinstance(v, Fraction) else Fraction(v) for v in (self.c, self.s))
         # c^2 + s^2 = 1 in integers: with c = a/h and s = b/k in lowest terms,
         # a^2 k^2 + b^2 h^2 = h^2 k^2 makes h^2 divide a^2 k^2, so h | k, and
         # k | h alike; hence h = k and a^2 + b^2 = h^2, and conversely.

@@ -6,7 +6,8 @@ verify each candidate on the whole set, the planner oracle is a plain
 flood fill over a boolean grid, and the interpolation oracle builds a Hermite
 divided-difference table instead of solving the library's confluent
 Vandermonde system.  The Fraction references at the end are the
-Fraction-by-Fraction forms of the fiber layers' integer kernels.
+Fraction-by-Fraction forms of the integer kernels of the fiber layers and of
+the linear solver.
 """
 
 import os
@@ -330,7 +331,8 @@ def hermite_interpolate(nodes) -> RatPoly:
 
 # ---------------------------------------------------------------------------
 # Fraction references: the integer kernels of RatPoly.evaluate,
-# ConicModel.q_at, ladder and the rotations, one Fraction operation at a time.
+# ConicModel.q_at, ladder, the rotations and solve_linear, one Fraction
+# operation at a time.
 
 
 def reference_evaluate(poly, x):
@@ -373,3 +375,22 @@ def reference_compose(r1, r2):
 
 def reference_apply(rot, y, z):
     return rot.c * y - rot.s * z, rot.s * y + rot.c * z
+
+
+def reference_solve_linear(rows, rhs):
+    """Gauss-Jordan elimination on Fractions, with the library's pivot rule:
+    the first nonzero entry at or below the diagonal."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular linear system")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]

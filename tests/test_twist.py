@@ -36,6 +36,7 @@ from conicbundle.errors import (
 )
 from conicbundle import cli
 from conicbundle import twist as tw
+from conicbundle.polynomial import solve_linear
 from conicbundle.projline import ladder
 from conicbundle.twist import (
     _rational_circle_point,
@@ -298,6 +299,66 @@ def test_interpolate_random_agreement():
             assert poly.evaluate(node[0]) == node[1]
             if len(node) > 2:
                 assert poly.derivative().evaluate(node[0]) == node[2]
+
+
+def _random_entry(rng, height):
+    # mixed denominators, with ints and zeros among the Fractions
+    roll = rng.random()
+    if roll < 0.15:
+        return 0
+    if roll < 0.3:
+        return rng.randint(-height, height)
+    return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+
+def _solve_agrees(rows, rhs):
+    x = solve_linear(rows, rhs)
+    assert x == support.reference_solve_linear(rows, rhs)
+    assert all(type(v) is Fraction for v in x)
+    for row, b in zip(rows, rhs):
+        assert sum(Fraction(a) * v for a, v in zip(row, x)) == b
+    return x
+
+
+def test_solve_linear_random_agreement():
+    # Exact agreement with the Fraction Gauss-Jordan reference on square
+    # systems of every size from 0 to 14 at heights up to 10^6.
+    rng = random.Random(11)
+    solved = 0
+    for n in list(range(15)) * 8:
+        height = rng.choice((6, 10 ** 3, 10 ** 6))
+        rows = [[_random_entry(rng, height) for _ in range(n)] for _ in range(n)]
+        rhs = [_random_entry(rng, height) for _ in range(n)]
+        try:
+            support.reference_solve_linear(rows, rhs)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                solve_linear(rows, rhs)
+            continue
+        _solve_agrees(rows, rhs)
+        solved += 1
+    assert solved > 100
+
+
+def test_solve_linear_row_swap_and_negative_pivot():
+    # a zero leading entry forces a swap; then a negative first pivot
+    assert _solve_agrees([[0, 1], [2, 3]], [Fraction(5, 7), -1]) == [Fraction(-11, 7), Fraction(5, 7)]
+    assert _solve_agrees([[-3, Fraction(1, 2)], [1, -2]], [1, Fraction(1, 3)]) == \
+        [Fraction(-13, 33), Fraction(-4, 11)]
+    # the diagonal entry is zero at both elimination steps, so both swap rows
+    _solve_agrees([[0, 0, Fraction(3, 2)], [Fraction(1, 3), 2, 1], [2, 13, 7]], [1, Fraction(2, 9), 3])
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1, 2], [0, 3, 4], [0, Fraction(1, 2), 6]],                     # zero column
+    [[1, 2, 3], [Fraction(-1, 2), -1, Fraction(-3, 2)], [4, 5, 7]],     # proportional rows
+    [[1, 2, 3], [4, 5, 6], [5, 7, 9]],                                  # row 3 = row 1 + row 2
+])
+def test_solve_linear_singular(rows):
+    with pytest.raises(ValueError, match="singular"):
+        solve_linear(rows, [1, 2, 3])
+    with pytest.raises(ValueError, match="singular"):
+        support.reference_solve_linear(rows, [1, 2, 3])
 
 
 # -- synthesis ----------------------------------------------------------------------
