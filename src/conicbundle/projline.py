@@ -356,12 +356,11 @@ class Moebius:
 
 
 def _through_standard(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Moebius:
-    # The matrix sending (1:0), (0:1), (1:1) to p1, p2, p3: columns are
-    # lam*(p1) and mu*(p2) where lam*p1 + mu*p2 = p3.
-    det = p1.u0 * p2.u1 - p1.u1 * p2.u0
-    lam = Fraction(p3.u0 * p2.u1 - p3.u1 * p2.u0, det)
-    mu = Fraction(p1.u0 * p3.u1 - p1.u1 * p3.u0, det)
-    return Moebius.from_rational(lam * p1.u0, mu * p2.u0, lam * p1.u1, mu * p2.u1)
+    # The matrix sending (1:0), (0:1), (1:1) to p1, p2, p3: columns lam*(p1)
+    # and mu*(p2), lam*p1 + mu*p2 = p3; times [p1,p2], lam = [p3,p2], mu = [p1,p3].
+    lam = p3.u0 * p2.u1 - p3.u1 * p2.u0
+    mu = p1.u0 * p3.u1 - p1.u1 * p3.u0
+    return Moebius(lam * p1.u0, mu * p2.u0, lam * p1.u1, mu * p2.u1)
 
 
 def moebius_from_triples(
@@ -376,9 +375,17 @@ def moebius_from_triples(
     return _through_standard(q1, q2, q3).compose(_through_standard(p1, p2, p3).inverse())
 
 
+def _cross_pair(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> tuple:
+    # cr(a, b, c, d) = [d,a][b,c] : [d,c][b,a] unnormalized, [p,q] = p.u0*q.u1 - p.u1*q.u0
+    return ((d.u0 * a.u1 - d.u1 * a.u0) * (b.u0 * c.u1 - b.u1 * c.u0),
+            (d.u0 * c.u1 - d.u1 * c.u0) * (b.u0 * a.u1 - b.u1 * a.u0))
+
+
 def cross_ratio(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint, p4: ProjPoint) -> ProjPoint:
     """Image of p4 under the map sending (p1, p2, p3) to (0, 1, inf)."""
-    return moebius_from_triples(p1, p2, p3, ZERO, ONE, INF).apply(p4)
+    if len({p1, p2, p3}) != 3:
+        raise InvalidTriple(f"repeated source point in ({p1}, {p2}, {p3})")
+    return ProjPoint(*_cross_pair(p1, p2, p3, p4))
 
 
 @dataclass(frozen=True)
@@ -499,18 +506,21 @@ def _dihedral_maps(src: list, dst: list) -> Iterator[Moebius]:
     reverses cyclic order: any map sending the set src onto the set dst sends
     src[i] to dst[(k + sign * i) % n] for one rotation k and one sign.  Each
     of these 2n correspondences fixes the images of src[:3] and hence at most
-    one map, which is yielded when it also sends every remaining point to its
-    place.  Rotations come first, then reversals, each in ascending k.  For
-    n >= 3 distinct correspondences have distinct target triples, so no map
-    is yielded twice.
+    one map m, which is built only when integer cross-ratios show that m
+    sends every remaining point to its place.  The test is exact: the map
+    d -> cr(a, b, c, d) sends (a, b, c) to (0, 1, inf), so for every d,
+    cr(m(a), m(b), m(c), m(d)) = cr(a, b, c, d), and cr(m(a), m(b), m(c), .)
+    is injective.  Rotations come first, then reversals, each in ascending k;
+    distinct correspondences have distinct target triples, so no map repeats.
     """
-    n = len(src)
+    n, s = len(src), src[:3]
+    ratios = [_cross_pair(*s, p) for p in src[3:]]
     for sign in (1, -1):
         for k in range(n):
-            targets = [dst[(k + sign * i) % n] for i in range(n)]
-            m = moebius_from_triples(*src[:3], *targets[:3])
-            if all(m.apply(p) == q for p, q in zip(src[3:], targets[3:])):
-                yield m
+            t = [dst[(k + sign * i) % n] for i in range(n)]
+            if all(x0 * y1 == x1 * y0 for (x0, x1), (y0, y1)
+                   in zip(ratios, (_cross_pair(*t[:3], q) for q in t[3:]))):
+                yield moebius_from_triples(*s, *t[:3])
 
 
 def _equiv_candidates(c1: IntervalConfig, c2: IntervalConfig) -> Iterator[tuple]:
@@ -565,7 +575,7 @@ def realizable_permutations(c: IntervalConfig) -> dict:
     Sym_r.
     """
     if c.r < 1:
-        raise ValueError("need at least one interval")
+        raise InvalidModel("need at least one interval")
     found = {}
     for m, nu in _equiv_candidates(c, c):
         if nu not in found:

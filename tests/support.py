@@ -7,7 +7,7 @@ flood fill over a boolean grid, and the interpolation oracle builds a Hermite
 divided-difference table instead of solving the library's confluent
 Vandermonde system.  The Fraction references at the end are the
 Fraction-by-Fraction forms of the integer kernels of the fiber layers and of
-the linear solver.
+the linear solver, and the map-building forms of the Moebius witness search.
 """
 
 import os
@@ -394,3 +394,24 @@ def reference_solve_linear(rows, rhs):
                 factor = aug[r][col]
                 aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
     return [aug[i][n] for i in range(n)]
+
+
+def reference_through_standard(p1, p2, p3):
+    """The matrix sending (1:0), (0:1), (1:1) to p1, p2, p3 through Fractions:
+    columns lam*(p1) and mu*(p2) where lam*p1 + mu*p2 = p3."""
+    det = p1.u0 * p2.u1 - p1.u1 * p2.u0
+    lam = Fraction(p3.u0 * p2.u1 - p3.u1 * p2.u0, det)
+    mu = Fraction(p1.u0 * p3.u1 - p1.u1 * p3.u0, det)
+    return Moebius.from_rational(lam * p1.u0, mu * p2.u0, lam * p1.u1, mu * p2.u1)
+
+
+def reference_dihedral_maps(src, dst):
+    """The 2n correspondences of projline._dihedral_maps, each tested by
+    building its map and applying it to every remaining point."""
+    n = len(src)
+    for sign in (1, -1):
+        for k in range(n):
+            targets = [dst[(k + sign * i) % n] for i in range(n)]
+            m = moebius_from_triples(*src[:3], *targets[:3])
+            if all(m.apply(p) == q for p, q in zip(src[3:], targets[3:])):
+                yield m

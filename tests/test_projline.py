@@ -22,13 +22,17 @@ from conicbundle import (
     realizable_permutations,
     stabilizer,
 )
-from conicbundle.errors import InfiniteStabilizer, InvalidTriple, ParseError
+from conicbundle import projline
+from conicbundle.errors import ConicBundleError, InfiniteStabilizer, InvalidTriple, ParseError
 from conicbundle.projline import (
     INF,
     ONE,
     ZERO,
+    _dihedral_maps,
     _factor,
     _legendre,
+    _through_standard,
+    _walk_key,
     clear_denominators,
     interval_image,
     primitive,
@@ -231,6 +235,37 @@ def test_cross_ratio_worked_example():
 def test_cross_ratio_degenerate_triple():
     with pytest.raises(InvalidTriple):
         cross_ratio(ZERO, ZERO, ONE, INF)
+
+
+def random_point(rng, inf_share=0.1):
+    if rng.random() < inf_share:
+        return INF
+    return pt(Fraction(rng.randint(-40, 40), rng.randint(1, 7)))
+
+
+def distinct_points(rng, n, inf_share=0.1):
+    pts = []
+    while len(pts) < n:
+        p = random_point(rng, inf_share)
+        if p not in pts:
+            pts.append(p)
+    return pts
+
+
+def test_through_standard_matches_the_fraction_reference():
+    rng = random.Random(61)
+    for _ in range(500):
+        triple = distinct_points(rng, 3, inf_share=0.2)
+        assert _through_standard(*triple) == support.reference_through_standard(*triple)
+
+
+def test_cross_ratio_matches_the_map_to_zero_one_inf():
+    rng = random.Random(67)
+    for i in range(1000):
+        triple = distinct_points(rng, 3, inf_share=0.2)
+        p4 = triple[i % 3] if i % 4 == 0 else random_point(rng, inf_share=0.2)
+        expected = moebius_from_triples(*triple, ZERO, ONE, INF).apply(p4)
+        assert cross_ratio(*triple, p4) == expected
 
 
 def test_cross_ratio_invariance_bulk():
@@ -530,6 +565,68 @@ def test_stabilizer_matches_oracle():
         maps = stabilizer(pts)
         assert maps == support.oracle_stabilizer(pts)
         assert len(maps) % order == 0
+
+
+def _dihedral_cases():
+    """(src, dst) pairs of cyclically ordered lists: random self and
+    unrelated pairs, conjugated cyclic orbits, Moebius images listed rotated
+    and reversed, and images with one point moved."""
+    rng = random.Random(71)
+    cases = []
+    for n in range(3, 13):
+        for _ in range(6):
+            src = sorted(distinct_points(rng, n), key=_walk_key)
+            dst = sorted(distinct_points(rng, n), key=_walk_key)
+            cases += [(src, src, True), (src, dst, False)]
+            m = support.random_moebius(rng)
+            image = [m.apply(p) for p in src]
+            k = rng.randrange(n)
+            image = image[k:] + image[:k]
+            cases.append((src, image[::-1] if rng.random() < 0.5 else image, True))
+            if n > 3:
+                j = rng.randrange(3, n)
+                moved = image[:j] + [random_point(rng)] + image[j + 1:]
+                if len(set(moved)) == n:
+                    cases.append((src, moved, False))
+    for g in CYCLIC_GENERATORS.values():
+        for _ in range(6):
+            h = support.random_moebius(rng)
+            pts = sorted({h.apply(p) for p in _orbit_union(rng, g, rng.randint(1, 3))},
+                         key=_walk_key)
+            if len(pts) >= 3:
+                cases.append((pts, pts, True))
+    return cases
+
+
+def test_dihedral_maps_match_the_map_building_reference():
+    equivalent = 0
+    for src, dst, known in _dihedral_cases():
+        maps = list(_dihedral_maps(src, dst))
+        assert maps == list(support.reference_dihedral_maps(src, dst))
+        assert not known or maps
+        equivalent += bool(maps)
+    assert equivalent >= 100
+
+
+def test_dihedral_maps_build_one_map_per_yielded_map(monkeypatch):
+    built = []
+
+    def counting(*triples):
+        built.append(triples)
+        return moebius_from_triples(*triples)
+
+    monkeypatch.setattr(projline, "moebius_from_triples", counting)
+    yielded = 0
+    for src, dst, _ in _dihedral_cases():
+        yielded += len(list(_dihedral_maps(src, dst)))
+    assert 0 < yielded == len(built)
+
+
+def test_realizable_permutations_needs_an_interval():
+    with pytest.raises(ConicBundleError, match="need at least one interval"):
+        realizable_permutations(IntervalConfig(()))
+    with pytest.raises(ValueError):
+        realizable_permutations(IntervalConfig(()))
 
 
 def test_stabilizer_too_few_points():
