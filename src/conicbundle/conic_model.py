@@ -124,7 +124,7 @@ def model_from_config(config: IntervalConfig) -> ConicModel:
     if config.r < 1:
         raise InvalidModel("a model needs at least one interval")
     for arc in config.intervals:
-        if arc.start.is_infinity or arc.end.is_infinity or arc.contains(INF):
+        if arc.contains(INF):
             raise MoveInfinityFirst(f"{arc} touches infinity; conjugate it away first")
     roots = sorted(arc.start.to_rat() for arc in config.intervals)
     roots += sorted(arc.end.to_rat() for arc in config.intervals)

@@ -178,7 +178,7 @@ def biconic_from_config(config: IntervalConfig) -> BiconicModel:
     if k > 3:
         raise TooManyIntervals(f"{k} intervals; the model supports at most 3")
     for arc in config.intervals:
-        if arc.start.is_infinity or arc.end.is_infinity or arc.contains(INF):
+        if arc.contains(INF):
             raise MoveInfinityFirst(f"{arc} touches infinity; conjugate it away first")
     forms = [_interval_form(arc) for arc in config.intervals]
     supply = 1
@@ -200,7 +200,9 @@ def biconic_interval_image(model: BiconicModel) -> IntervalConfig:
     """Exact sign analysis of (m1, m2, m3) on the root partition of P^1(R).
 
     A parameter carries real points exactly when the three values do not all
-    share one strict sign.  Boundaries must be rational to be representable.
+    share one strict sign.  One probe per gap between cyclically consecutive
+    roots says whether the gap lies in the image; the arcs are read off the
+    roots where that flips.  Boundaries must be rational to be representable.
     """
     roots = []
     for f in model.forms:
@@ -226,23 +228,11 @@ def biconic_interval_image(model: BiconicModel) -> IntervalConfig:
         gap_in_image.append(not (all(v > 0 for v in values) or all(v < 0 for v in values)))
     if all(gap_in_image):
         raise ImageIsWholeLine("every parameter carries real points")
-    # Walk gaps cyclically; maximal runs of in-image gaps bound the arcs.
-    start_gap = next(i for i in range(n) if not gap_in_image[i])
-    arcs = []
-    i = (start_gap + 1) % n
-    run_start = None
-    for _ in range(n):
-        if gap_in_image[i]:
-            if run_start is None:
-                run_start = roots[i]
-        else:
-            if run_start is not None:
-                arcs.append(Interval(run_start, roots[i]))
-                run_start = None
-        i = (i + 1) % n
-    if run_start is not None:
-        arcs.append(Interval(run_start, roots[start_gap]))
-    return IntervalConfig(tuple(arcs))
+    # Root i lies between gaps i - 1 and i.  Where membership flips into the
+    # image an arc starts, and the next flip, cyclically, ends it.
+    flips = [i for i in range(n) if gap_in_image[i] != gap_in_image[i - 1]]
+    return IntervalConfig(tuple(Interval(roots[i], roots[j])
+                                for i, j in zip(flips, flips[1:] + flips[:1]) if gap_in_image[i]))
 
 
 def _fiber_quadratic(model: BiconicModel, xyz) -> Tuple[Rat, Rat, Rat]:

@@ -35,10 +35,6 @@ class RatPoly:
     def constant(c) -> "RatPoly":
         return RatPoly((Fraction(c),))
 
-    @staticmethod
-    def x() -> "RatPoly":
-        return RatPoly((Fraction(0), Fraction(1)))
-
     @property
     def degree(self) -> int:
         """Degree as an int, with -1 for the zero polynomial."""

@@ -413,7 +413,7 @@ class Interval:
         """A rational point strictly inside the arc."""
         if self.start.is_infinity:
             return ProjPoint.from_rat(self.end.to_rat() - 1)
-        if self.end.is_infinity or self.contains(INF):
+        if self.contains(INF):
             return ProjPoint.from_rat(self.start.to_rat() + 1)
         return ProjPoint.from_rat((self.start.to_rat() + self.end.to_rat()) / 2)
 
@@ -435,26 +435,28 @@ def interval_image(m: Moebius, arc: Interval) -> Interval:
 class IntervalConfig:
     """Pairwise disjoint closed arcs in canonical cyclic order.
 
-    The canonical order walks the circle positively starting from infinity
-    (or from the first boundary point after it) and lists each arc at its
-    first boundary point encountered.  Two configurations are equal exactly
-    when they are equal as sets of arcs.
+    One walk decides both: the 2r boundary points sorted once, positively
+    around the circle from infinity.  Two closed arcs meet exactly when one
+    holds a boundary point of the other, so with distinct boundary points
+    the arcs are disjoint exactly when each arc's end directly follows its
+    start in the walk, the wrap-around pair included.  The canonical order
+    lists each arc at its first boundary point in the walk.  Two
+    configurations are equal exactly when they are equal as sets of arcs.
     """
 
     intervals: tuple
 
     def __post_init__(self):
-        arcs = tuple(self.intervals)
-        boundary = [arc.start for arc in arcs] + [arc.end for arc in arcs]
-        if len(set(boundary)) != len(boundary):
+        walk = sorted(((p, arc) for arc in self.intervals for p in (arc.start, arc.end)),
+                      key=lambda step: _walk_key(step[0]))
+        points = tuple(p for p, _ in walk)
+        if len(set(points)) != len(points):
             raise InvalidModel("boundary points of a configuration must be distinct")
-        for i, a in enumerate(arcs):
-            for b in arcs[i + 1:]:
-                if (a.contains(b.start) or a.contains(b.end)
-                        or b.contains(a.start) or b.contains(a.end)):
-                    raise InvalidModel(f"arcs {a} and {b} are not disjoint")
-        ordered = tuple(sorted(arcs, key=lambda arc: min(_walk_key(arc.start), _walk_key(arc.end))))
-        object.__setattr__(self, "intervals", ordered)
+        for (p, a), (q, b) in zip(walk, walk[1:] + walk[:1]):
+            if p == a.start and q != a.end:
+                raise InvalidModel(f"arcs {a} and {b} are not disjoint")
+        object.__setattr__(self, "intervals", tuple(dict.fromkeys(arc for _, arc in walk)))
+        object.__setattr__(self, "_walk", points)
 
     @property
     def r(self) -> int:
@@ -462,8 +464,7 @@ class IntervalConfig:
 
     def boundary_points(self) -> list:
         """All 2r boundary points in cyclic walk order."""
-        pts = [arc.start for arc in self.intervals] + [arc.end for arc in self.intervals]
-        return sorted(pts, key=_walk_key)
+        return list(self._walk)
 
     def contains(self, p: ProjPoint) -> bool:
         return any(arc.contains(p) for arc in self.intervals)
@@ -527,11 +528,12 @@ def _equiv_candidates(c1: IntervalConfig, c2: IntervalConfig) -> Iterator[tuple]
     """Yield verified (moebius, nu) pairs mapping c1 onto c2.
 
     A witness sends the 2r boundary points of c1 onto those of c2 and keeps
-    or reverses their cyclic order, so for r >= 2 the candidates are the
-    maps of _dihedral_maps on the boundary points, in its order: the first
-    witness is reproducible.  For r = 1 the two boundary points fix no map,
-    so each arc's interior point is the third point and the two ends are
-    matched both ways.
+    or reverses their cyclic order, so the candidates are the maps of
+    _dihedral_maps on the boundary points, in its order: the first witness
+    is reproducible.  For r = 1 the two boundary points fix no map, so each
+    arc's interior point joins them as a third; every correspondence of
+    three points is dihedral, and the two that match the ends to the ends
+    come out straight first, then swapped.
     """
     if c1.r != c2.r:
         return
@@ -542,13 +544,9 @@ def _equiv_candidates(c1: IntervalConfig, c2: IntervalConfig) -> Iterator[tuple]
     b2 = c2.boundary_points()
     if c1.r == 1:
         # interior points differ from the arc ends, so neither triple repeats
-        i1 = c1.intervals[0].interior_point()
-        i2 = c2.intervals[0].interior_point()
-        candidates = (moebius_from_triples(b1[0], b1[1], i1, t0, t1, i2)
-                      for t0, t1 in ((b2[0], b2[1]), (b2[1], b2[0])))
-    else:
-        candidates = _dihedral_maps(b1, b2)
-    for m in candidates:
+        b1.append(c1.intervals[0].interior_point())
+        b2.append(c2.intervals[0].interior_point())
+    for m in _dihedral_maps(b1, b2):
         nu = _match_intervals(m, c1, c2)
         if nu is not None:
             yield m, nu

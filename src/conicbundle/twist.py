@@ -318,15 +318,6 @@ def _circle_solution(num: int, den: int) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _rational_circle_point(rho: Rat) -> Optional[Tuple[Rat, Rat]]:
-    # A rational point on y^2 + z^2 = rho, if the bounded search finds one.
-    rho = Fraction(rho)
-    got = _circle_solution(rho.numerator, rho.denominator)
-    if got is None:
-        return None
-    return Fraction(got[0], rho.denominator), Fraction(got[1], rho.denominator)
-
-
 def find_fiber_point(model: ConicModel, x: Rat) -> Optional[SurfPoint]:
     """A rational surface point over x, when the fiber circle has one.
 

@@ -8,6 +8,8 @@ divided-difference table instead of solving the library's confluent
 Vandermonde system.  The Fraction references at the end are the
 Fraction-by-Fraction forms of the integer kernels of the fiber layers and of
 the linear solver, and the map-building forms of the Moebius witness search.
+The pairwise disjointness check and the gap-run walk are the references for
+the boundary walk that IntervalConfig and biconic_interval_image share.
 """
 
 import os
@@ -27,8 +29,14 @@ from conicbundle import (
     moebius_from_triples,
     parse_rat,
 )
-from conicbundle.errors import DuplicateNode, InfiniteStabilizer, InvalidTriple
-from conicbundle.projline import LADDER, _walk_key
+from conicbundle.errors import (
+    DuplicateNode,
+    ImageIsWholeLine,
+    InfiniteStabilizer,
+    InvalidModel,
+    InvalidTriple,
+)
+from conicbundle.projline import LADDER, Interval, ProjPoint, _walk_key
 from conicbundle.twist import ladder_fibers
 
 
@@ -415,3 +423,70 @@ def reference_dihedral_maps(src, dst):
             m = moebius_from_triples(*src[:3], *targets[:3])
             if all(m.apply(p) == q for p, q in zip(src[3:], targets[3:])):
                 yield m
+
+
+# ---------------------------------------------------------------------------
+# Boundary-walk references: the pairwise disjointness check and the gap-run
+# walk that the single sorted walk replaced.
+
+
+def reference_interval_config(arcs):
+    """The canonical arcs of IntervalConfig(arcs), or its InvalidModel: every
+    pair of arcs tested for a shared point, then a sort by first boundary
+    point in the walk."""
+    arcs = tuple(arcs)
+    boundary = [arc.start for arc in arcs] + [arc.end for arc in arcs]
+    if len(set(boundary)) != len(boundary):
+        raise InvalidModel("boundary points of a configuration must be distinct")
+    for i, a in enumerate(arcs):
+        for b in arcs[i + 1:]:
+            if (a.contains(b.start) or a.contains(b.end)
+                    or b.contains(a.start) or b.contains(a.end)):
+                raise InvalidModel(f"arcs {a} and {b} are not disjoint")
+    return tuple(sorted(arcs, key=lambda arc: min(_walk_key(arc.start), _walk_key(arc.end))))
+
+
+def reference_biconic_interval_image(model):
+    """biconic_interval_image by a walk over the gaps from the first gap
+    outside the image, keeping the start of the current run of in-image
+    gaps."""
+    roots = []
+    for f in model.forms:
+        for root in f.rational_roots():
+            if root not in roots:
+                roots.append(root)
+    if not roots:
+        sample = model.values_at(ProjPoint(0, 1))
+        if all(v > 0 for v in sample) or all(v < 0 for v in sample):
+            return IntervalConfig(())
+        raise ImageIsWholeLine("every parameter carries real points")
+    roots.sort(key=_walk_key)
+    n = len(roots)
+    gap_in_image = []
+    for i in range(n):
+        if n > 1:
+            probe = Interval(roots[i], roots[(i + 1) % n]).interior_point()
+        elif roots[0].is_infinity:
+            probe = ProjPoint(0, 1)
+        else:
+            probe = ProjPoint.from_rat(roots[0].to_rat() + 1)
+        values = model.values_at(probe)
+        gap_in_image.append(not (all(v > 0 for v in values) or all(v < 0 for v in values)))
+    if all(gap_in_image):
+        raise ImageIsWholeLine("every parameter carries real points")
+    start_gap = next(i for i in range(n) if not gap_in_image[i])
+    arcs = []
+    i = (start_gap + 1) % n
+    run_start = None
+    for _ in range(n):
+        if gap_in_image[i]:
+            if run_start is None:
+                run_start = roots[i]
+        else:
+            if run_start is not None:
+                arcs.append(Interval(run_start, roots[i]))
+                run_start = None
+        i = (i + 1) % n
+    if run_start is not None:
+        arcs.append(Interval(run_start, roots[start_gap]))
+    return IntervalConfig(tuple(arcs))

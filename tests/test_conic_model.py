@@ -7,9 +7,11 @@ import pytest
 
 from conicbundle import (
     ConicModel,
+    Interval,
     IntervalConfig,
     MarkedModel,
     Moebius,
+    ProjPoint,
     RatPoly,
     SurfPoint,
     component_index,
@@ -88,9 +90,11 @@ def test_model_from_config_three_intervals_has_six_roots():
 
 
 def test_model_from_config_rejects_infinity():
-    # the arc from 5 to -1 runs through infinity
-    with pytest.raises(MoveInfinityFirst):
-        model_from_config(IntervalConfig.from_rat_pairs([(5, -1)]))
+    # the arc from 5 to -1 runs through infinity; the others end there
+    for arc in (("5", "-1"), ("inf", "0"), ("0", "inf")):
+        config = IntervalConfig((Interval(*map(ProjPoint.from_token, arc)),))
+        with pytest.raises(MoveInfinityFirst):
+            model_from_config(config)
 
 
 def test_model_validation():

@@ -1,6 +1,7 @@
 """Double-conic del Pezzo models, their images and the Geiser involution."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from conicbundle import (
     BiconicModel,
     BinQuadForm,
     BiPoint,
+    Interval,
     IntervalConfig,
     ProjPoint,
     biconic_from_config,
@@ -25,7 +27,9 @@ from conicbundle import cli
 from conicbundle.delpezzo import _CONIC_BOUND, _conic_point, resultant
 from conicbundle.projline import _legendre, clear_denominators, primitive
 from conicbundle.errors import (
+    ImageIsWholeLine,
     InvalidModel,
+    IrrationalBoundary,
     MoveInfinityFirst,
     NotOnSurface,
     TooManyIntervals,
@@ -192,8 +196,10 @@ def test_constructor_three_intervals():
 def test_constructor_rejects_too_many_or_infinite():
     with pytest.raises(TooManyIntervals):
         biconic_from_config(cfg((0, 1), (2, 3), (4, 5), (6, 7)))
-    with pytest.raises(MoveInfinityFirst):
-        biconic_from_config(IntervalConfig.from_rat_pairs([(5, -1)]))
+    for arc in (("5", "-1"), ("inf", "0"), ("0", "inf")):
+        config = IntervalConfig((Interval(*map(ProjPoint.from_token, arc)),))
+        with pytest.raises(MoveInfinityFirst):
+            biconic_from_config(config)
 
 
 def test_constructor_roundtrip_random():
@@ -228,13 +234,58 @@ def test_image_wrapping_through_infinity():
 
 
 def test_image_error_paths():
-    from conicbundle.errors import ImageIsWholeLine, IrrationalBoundary
     with pytest.raises(ImageIsWholeLine):
         biconic_interval_image(BiconicModel(
             BinQuadForm(1, 0, 1), BinQuadForm(-1, 0, -2), BinQuadForm(-1, 0, -3), 0))
     with pytest.raises(IrrationalBoundary):
         biconic_interval_image(BiconicModel(
             BinQuadForm(1, 0, -2), BinQuadForm(-1, 0, -1), BinQuadForm(-1, 0, -3), 1))
+
+
+def random_biconic_form(rng, shape):
+    """A form with two random rational roots, a root at infinity (al = 0),
+    no real root, or a random discriminant (often an irrational pair)."""
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+    sign = rng.choice((1, -1))
+    if shape == "roots":
+        a, b = q(), q()
+        return BinQuadForm(sign, -sign * (a + b), sign * a * b)
+    if shape == "infinity":
+        return BinQuadForm(0, rng.choice((1, -1)) * rng.randint(1, 4), q())
+    if shape == "none":
+        return BinQuadForm(sign, 0, sign * rng.randint(1, 5))
+    return BinQuadForm(sign * rng.randint(1, 3), rng.randint(-4, 4), rng.randint(-4, 4))
+
+
+def test_image_matches_the_run_walk_reference():
+    # Built models give every k often; random forms give roots at infinity,
+    # arcs through it, forms without real roots and both errors.
+    rng = random.Random(41)
+    models = [biconic_from_config(support.random_config(rng, k, low=-12, high=12))
+              for k in range(4) for _ in range(40)]
+    shapes = ("roots", "roots", "roots", "infinity", "none", "random")
+    while len(models) < 2500:
+        try:
+            models.append(BiconicModel(*(random_biconic_form(rng, rng.choice(shapes))
+                                         for _ in range(3)), 0))
+        except InvalidModel:
+            pass
+    seen = Counter()
+    for model in models:
+        seen["rootless"] += all(f.disc < 0 for f in model.forms)
+        try:
+            expected = support.reference_biconic_interval_image(model)
+        except (ImageIsWholeLine, IrrationalBoundary) as exc:
+            with pytest.raises(type(exc)):
+                biconic_interval_image(model)
+            seen[type(exc).__name__] += 1
+            continue
+        assert biconic_interval_image(model) == expected, model
+        seen[expected.r, any(arc.contains(ProjPoint.infinity()) for arc in expected.intervals)] += 1
+    assert all(seen[k, False] >= 40 for k in range(4)), seen
+    assert all(seen[k] for k in ((1, True), (2, True), "rootless",
+                                 "ImageIsWholeLine", "IrrationalBoundary")), seen
 
 
 def test_membership_example():

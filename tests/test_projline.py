@@ -23,7 +23,13 @@ from conicbundle import (
     stabilizer,
 )
 from conicbundle import projline
-from conicbundle.errors import ConicBundleError, InfiniteStabilizer, InvalidTriple, ParseError
+from conicbundle.errors import (
+    ConicBundleError,
+    InfiniteStabilizer,
+    InvalidModel,
+    InvalidTriple,
+    ParseError,
+)
 from conicbundle.projline import (
     INF,
     ONE,
@@ -368,6 +374,72 @@ def test_config_canonical_start_with_wrap():
     config = IntervalConfig((plain, wrap))
     assert config.intervals[0] == wrap
     assert config.boundary_points() == [pt(-3), pt(0), pt(1), pt(5)]
+
+
+POOL = list(dict.fromkeys([INF] + [pt(Fraction(n, d)) for n in range(-6, 7) for d in (1, 2)]))
+
+
+def random_arc_list(rng):
+    """r = 0-6 arcs with ends in POOL, a small set of points with infinity: valid
+    configurations cut from one walk at a random offset (so some arcs wrap
+    round infinity), then some arcs reversed, moved or given a shared end,
+    which makes nested, overlapping and touching arcs."""
+    r = rng.randint(0, 6)
+    walk = sorted(rng.sample(POOL, 2 * r), key=_walk_key)
+    shift = rng.randrange(2 * r) if r else 0
+    walk = walk[shift:] + walk[:shift]
+    ends = [[walk[2 * i], walk[2 * i + 1]] for i in range(r)]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        if not ends:
+            break
+        e = rng.choice(ends)
+        move = rng.random()
+        if move < 0.4:
+            e.reverse()
+        elif move < 0.8:
+            e[rng.randrange(2)] = rng.choice(POOL)
+        else:
+            e[rng.randrange(2)] = rng.choice(rng.choice(ends))
+    arcs = [Interval(s, e) for s, e in ends if s != e]
+    rng.shuffle(arcs)
+    return arcs
+
+
+def test_config_walk_matches_the_pairwise_reference():
+    # Same reject, same canonical order and same boundary walk as the
+    # pairwise disjointness check followed by a sort.
+    rng = random.Random(43)
+    accepted = rejected = wrapped = 0
+    for _ in range(10000):
+        arcs = random_arc_list(rng)
+        try:
+            expected = support.reference_interval_config(arcs)
+        except InvalidModel:
+            with pytest.raises(InvalidModel):
+                IntervalConfig(tuple(arcs))
+            rejected += 1
+            continue
+        config = IntervalConfig(tuple(arcs))
+        assert config.intervals == expected, arcs
+        ends = [arc.start for arc in arcs] + [arc.end for arc in arcs]
+        assert config.boundary_points() == sorted(ends, key=_walk_key), arcs
+        accepted += 1
+        wrapped += any(arc.contains(INF) for arc in arcs)
+    assert min(accepted, rejected) > 2500 and wrapped > 1000, (accepted, rejected, wrapped)
+
+
+def test_single_arc_witnesses_keep_the_straight_then_swapped_order():
+    # For r = 1 the candidates are the map matching the ends straight, then
+    # the one swapping them, both sending interior point to interior point.
+    rng = random.Random(47)
+    arcs = [Interval(INF, ZERO), Interval(ZERO, INF), Interval(pt(3), pt(-2))]
+    configs = [IntervalConfig((arc,)) for arc in arcs]
+    configs += [support.random_config(rng, 1, low=-20, high=20) for _ in range(20)]
+    for c1 in configs:
+        for c2 in configs:
+            got = list(projline._equiv_candidates(c1, c2))
+            assert got == support.oracle_equiv_all(c1, c2), (c1, c2)
+            assert [nu for _, nu in got] == [(0,), (0,)]
 
 
 def test_config_equiv_self_identity():

@@ -39,7 +39,7 @@ from conicbundle import twist as tw
 from conicbundle.polynomial import solve_linear
 from conicbundle.projline import ladder
 from conicbundle.twist import (
-    _rational_circle_point,
+    _circle_solution,
     identity_param,
     ladder_fibers,
     rotation_supply,
@@ -547,9 +547,14 @@ def reference_circle_point(rho):
     return None
 
 
+def circle_point(rho):
+    got = _circle_solution(rho.numerator, rho.denominator)
+    return got and (Fraction(got[0], rho.denominator), Fraction(got[1], rho.denominator))
+
+
 def test_circle_scan_matches_reference_on_every_small_integer():
     for n in range(-3, 20001):
-        assert _rational_circle_point(Fraction(n)) == reference_circle_point(n), n
+        assert circle_point(Fraction(n)) == reference_circle_point(n), n
 
 
 def test_circle_scan_matches_reference_on_random_rationals():
@@ -561,7 +566,7 @@ def test_circle_scan_matches_reference_on_random_rationals():
             rho = Fraction(rng.randint(0, 300) ** 2 + rng.randint(0, 300) ** 2, den * den)
         else:
             rho = Fraction(rng.randint(-10, 10 ** 5), den)
-        assert _rational_circle_point(rho) == reference_circle_point(rho), rho
+        assert circle_point(rho) == reference_circle_point(rho), rho
 
 
 @pytest.mark.parametrize("n", [
@@ -573,14 +578,14 @@ def test_circle_scan_matches_reference_on_random_rationals():
 ], ids=["prime-1-mod-4", "prime-3-mod-4", "prime-square", "rho-miss", "rho-hit"])
 def test_circle_scan_matches_reference_past_trial_division(n):
     for rho in (Fraction(n), Fraction(1, n)):
-        assert _rational_circle_point(rho) == reference_circle_point(rho), rho
+        assert circle_point(rho) == reference_circle_point(rho), rho
 
 
 def test_circle_scan_matches_reference_on_random_large_integers():
     rng = random.Random(29)
     for _ in range(30):
         n = rng.randint(20001, 10 ** 10)
-        assert _rational_circle_point(Fraction(n)) == reference_circle_point(n), n
+        assert circle_point(Fraction(n)) == reference_circle_point(n), n
 
 
 def reference_sample_surface_points(model, per_interval=2):
@@ -663,7 +668,7 @@ def test_find_fiber_point_matches_fraction_reference():
             xs += [x for rung in ladder(lo, hi) for x in rung]
         hits = 0
         for x in xs:
-            got = _rational_circle_point(support.reference_q_at(model, x))
+            got = circle_point(support.reference_q_at(model, x))
             expected = None if got is None else SurfPoint(x, *got)
             assert tw.find_fiber_point(model, x) == expected, (model, x)
             hits += expected is not None
