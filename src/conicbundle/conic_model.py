@@ -126,9 +126,8 @@ def model_from_config(config: IntervalConfig) -> ConicModel:
     for arc in config.intervals:
         if arc.contains(INF):
             raise MoveInfinityFirst(f"{arc} touches infinity; conjugate it away first")
-    roots = sorted(arc.start.to_rat() for arc in config.intervals)
-    roots += sorted(arc.end.to_rat() for arc in config.intervals)
-    return ConicModel(tuple(sorted(roots)))
+    return ConicModel(tuple(sorted(p.to_rat() for arc in config.intervals
+                                   for p in (arc.start, arc.end))))
 
 
 @dataclass(frozen=True)

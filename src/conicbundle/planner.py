@@ -5,8 +5,10 @@ endpoints into a rational grid (cut values plus gap midpoints).  Every grid
 move joins a cut value to the midpoint of an adjacent gap, and membership is
 constant on each open gap, so a move lies in the region exactly when both of
 its ends do.  A search over grid moves that minimizes turns, then steps,
-decides reachability; the returned polyline is merged into alternating
-horizontal and vertical segments and re-validated exactly.
+decides reachability.  Each search state records the axis of the move into
+it, so the path's corners are read off the parent chain (the start, each
+state where the next move changes axis, and the goal); consecutive corners
+are its alternating horizontal and vertical segments, re-validated exactly.
 Vertical moves never run along a forbidden x-line, horizontal moves never
 along a forbidden y-line.
 """
@@ -128,23 +130,6 @@ def _grid_values(cuts: Iterable[Rat]) -> List[Rat]:
     return grid
 
 
-def _segment_points(path_points: List[Point]) -> List[Segment]:
-    # Merge collinear runs of the polyline into maximal segments.
-    segments = []
-    i = 0
-    while i + 1 < len(path_points):
-        j = i + 1
-        vertical = path_points[i][0] == path_points[j][0]
-        while j + 1 < len(path_points):
-            same = path_points[j][0] == path_points[j + 1][0]
-            if same != vertical:
-                break
-            j += 1
-        segments.append(Segment(path_points[i], path_points[j]))
-        i = j
-    return segments
-
-
 def validate_path(region: Region, path: SegPath, start, end,
                   forbidden_x: Sequence = (), forbidden_y: Sequence = ()) -> bool:
     """Exact check: endpoints, containment in the union, forbidden avoidance."""
@@ -208,53 +193,42 @@ def find_rect_path(region: Region, start, end,
     yi = {v: i for i, v in enumerate(ys)}
     inside = [[region.contains((x, y)) for y in ys] for x in xs]
 
-    def moves(i: int, j: int):
-        # (di, dj, axis): axis 0 = horizontal, 1 = vertical
-        if i + 1 < len(xs):
-            yield i + 1, j, 0
-        if i - 1 >= 0:
-            yield i - 1, j, 0
-        if j + 1 < len(ys):
-            yield i, j + 1, 1
-        if j - 1 >= 0:
-            yield i, j - 1, 1
-
+    # a state is (i, j, axis): axis of the move into (xs[i], ys[j]),
+    # 0 = horizontal, 1 = vertical, -1 at the start
     start_state = (xi[start[0]], yi[start[1]], -1)
     goal = (xi[end[0]], yi[end[1]])
     best = {start_state: (0, 0)}
     parent = {}
     heap = [(0, 0, start_state)]
-    goal_state = None
     while heap:
         turns, steps, state = heapq.heappop(heap)
-        if best.get(state, (-1, -1)) != (turns, steps):
+        if best[state] != (turns, steps):
             continue
         i, j, axis = state
         if (i, j) == goal:
-            goal_state = state
             break
-        for ni, nj, naxis in moves(i, j):
-            if not inside[ni][nj]:
+        for ni, nj, naxis in ((i + 1, j, 0), (i - 1, j, 0), (i, j + 1, 1), (i, j - 1, 1)):
+            if not (0 <= ni < len(xs) and 0 <= nj < len(ys) and inside[ni][nj]):
                 continue
-            if naxis == 1 and xs[i] in fx:
+            if (xs[i] in fx) if naxis else (ys[j] in fy):
                 continue
-            if naxis == 0 and ys[j] in fy:
-                continue
-            ncost = (turns + (1 if axis not in (-1, naxis) else 0), steps + 1)
+            ncost = (turns + (axis not in (-1, naxis)), steps + 1)
             nstate = (ni, nj, naxis)
             if nstate not in best or ncost < best[nstate]:
                 best[nstate] = ncost
                 parent[nstate] = state
                 heapq.heappush(heap, (ncost[0], ncost[1], nstate))
-    if goal_state is None:
+    else:
         return None
-    points = []
-    state = goal_state
-    while state is not None:
-        points.append((xs[state[0]], ys[state[1]]))
-        state = parent.get(state)
-    points.reverse()
-    path = SegPath(tuple(_segment_points(points)))
+    # corners: the goal, each state whose successor turns, and the start
+    corners = [state]
+    while state in parent:
+        prev = parent[state]
+        if prev[2] != state[2]:
+            corners.append(prev)
+        state = prev
+    corners = [(xs[i], ys[j]) for i, j, _ in reversed(corners)]
+    path = SegPath(tuple(Segment(a, b) for a, b in zip(corners, corners[1:])))
     if not validate_path(region, path, start, end, fx, fy):
         raise AssertionError("planner produced a path that fails validation")
     return path

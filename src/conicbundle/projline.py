@@ -22,14 +22,14 @@ from .errors import InfiniteStabilizer, InvalidModel, InvalidTriple, ParseError
 
 Rat = Fraction
 
-_RAT_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$", re.ASCII)
+_RAT_RE = re.compile(r"(-?\d+)(?:/(-?\d+))?", re.ASCII)
 
 
 def parse_rat(token: str) -> Rat:
     """Parse a canonical rational token "p" or "p/q" (q positive, coprime)."""
     if not isinstance(token, str):
         raise ParseError(f"not a rational token: {token!r}")
-    m = _RAT_RE.match(token.strip())
+    m = _RAT_RE.fullmatch(token)
     if m is None:
         raise ParseError(f"not a rational token: {token!r}")
     num = int(m.group(1))
@@ -259,7 +259,7 @@ class ProjPoint:
 
     @staticmethod
     def from_token(token: str) -> "ProjPoint":
-        if isinstance(token, str) and token.strip() == "inf":
+        if token == "inf":
             return ProjPoint.infinity()
         return ProjPoint.from_rat(parse_rat(token))
 

@@ -364,6 +364,10 @@ class TwistReport:
     failures: tuple
     points_checked: int
 
+    def as_json(self) -> dict:
+        return {"passed": self.passed, "failures": list(self.failures),
+                "points_checked": self.points_checked}
+
 
 def verify_twist(model: ConicModel, twist: TwistMap) -> TwistReport:
     """Certify membership preservation and invertibility on sampled points.

@@ -9,9 +9,11 @@ Vandermonde system.  The Fraction references at the end are the
 Fraction-by-Fraction forms of the integer kernels of the fiber layers and of
 the linear solver, and the map-building forms of the Moebius witness search.
 The pairwise disjointness check and the gap-run walk are the references for
-the boundary walk that IntervalConfig and biconic_interval_image share.
+the boundary walk that IntervalConfig and biconic_interval_image share, and
+the polyline merge is the reference for the planner's corners.
 """
 
+import heapq
 import os
 import subprocess
 import sys
@@ -26,8 +28,11 @@ from conicbundle import (
     RatPoly,
     Rect,
     Region,
+    Segment,
+    SegPath,
     moebius_from_triples,
     parse_rat,
+    validate_path,
 )
 from conicbundle.errors import (
     DuplicateNode,
@@ -35,6 +40,8 @@ from conicbundle.errors import (
     InfiniteStabilizer,
     InvalidModel,
     InvalidTriple,
+    OnForbiddenLine,
+    OutsideRegion,
 )
 from conicbundle.projline import LADDER, Interval, ProjPoint, _walk_key
 from conicbundle.twist import ladder_fibers
@@ -490,3 +497,101 @@ def reference_biconic_interval_image(model):
     if run_start is not None:
         arcs.append(Interval(run_start, roots[start_gap]))
     return IntervalConfig(tuple(arcs))
+
+
+# ---------------------------------------------------------------------------
+# Planner reference: the same search, with the path read as a polyline of
+# grid points and merged into maximal collinear segments afterwards.
+
+
+def _reference_segments(path_points):
+    segments = []
+    i = 0
+    while i + 1 < len(path_points):
+        j = i + 1
+        vertical = path_points[i][0] == path_points[j][0]
+        while j + 1 < len(path_points):
+            same = path_points[j][0] == path_points[j + 1][0]
+            if same != vertical:
+                break
+            j += 1
+        segments.append(Segment(path_points[i], path_points[j]))
+        i = j
+    return segments
+
+
+def reference_find_rect_path(region, start, end, forbidden_x=(), forbidden_y=()):
+    """find_rect_path with a move generator, a goal-state sentinel and the
+    polyline merge in place of the corners read off the search."""
+    start = (Fraction(start[0]), Fraction(start[1]))
+    end = (Fraction(end[0]), Fraction(end[1]))
+    fx = {Fraction(v) for v in forbidden_x}
+    fy = {Fraction(v) for v in forbidden_y}
+    if not region.contains(start):
+        raise OutsideRegion(f"start {start} is outside the region")
+    if not region.contains(end):
+        raise OutsideRegion(f"end {end} is outside the region")
+    for p, name in ((start, "start"), (end, "end")):
+        if p[0] in fx or p[1] in fy:
+            raise OnForbiddenLine(f"{name} {p} lies on a forbidden line")
+    if start == end:
+        return SegPath(())
+
+    xs = _oracle_grid([r.x0 for r in region.rects] + [r.x1 for r in region.rects]
+                      + list(fx) + [start[0], end[0]])
+    ys = _oracle_grid([r.y0 for r in region.rects] + [r.y1 for r in region.rects]
+                      + list(fy) + [start[1], end[1]])
+    xi = {v: i for i, v in enumerate(xs)}
+    yi = {v: i for i, v in enumerate(ys)}
+    inside = [[region.contains((x, y)) for y in ys] for x in xs]
+
+    def moves(i, j):
+        # (di, dj, axis): axis 0 = horizontal, 1 = vertical
+        if i + 1 < len(xs):
+            yield i + 1, j, 0
+        if i - 1 >= 0:
+            yield i - 1, j, 0
+        if j + 1 < len(ys):
+            yield i, j + 1, 1
+        if j - 1 >= 0:
+            yield i, j - 1, 1
+
+    start_state = (xi[start[0]], yi[start[1]], -1)
+    goal = (xi[end[0]], yi[end[1]])
+    best = {start_state: (0, 0)}
+    parent = {}
+    heap = [(0, 0, start_state)]
+    goal_state = None
+    while heap:
+        turns, steps, state = heapq.heappop(heap)
+        if best.get(state, (-1, -1)) != (turns, steps):
+            continue
+        i, j, axis = state
+        if (i, j) == goal:
+            goal_state = state
+            break
+        for ni, nj, naxis in moves(i, j):
+            if not inside[ni][nj]:
+                continue
+            if naxis == 1 and xs[i] in fx:
+                continue
+            if naxis == 0 and ys[j] in fy:
+                continue
+            ncost = (turns + (1 if axis not in (-1, naxis) else 0), steps + 1)
+            nstate = (ni, nj, naxis)
+            if nstate not in best or ncost < best[nstate]:
+                best[nstate] = ncost
+                parent[nstate] = state
+                heapq.heappush(heap, (ncost[0], ncost[1], nstate))
+    if goal_state is None:
+        return None
+    points = []
+    state = goal_state
+    while state is not None:
+        points.append((xs[state[0]], ys[state[1]]))
+        state = parent.get(state)
+    points.reverse()
+    path = SegPath(tuple(_reference_segments(points)))
+    if not validate_path(region, path, start, end, fx, fy):
+        raise AssertionError("planner produced a path that fails validation")
+    return path

@@ -263,9 +263,13 @@ MISREAD = [
      "rects[0]"),
     ("decide-iso", {"model1": {"roots": ["0", "1"], "marks": [{"x": "0", "z": "0"}]},
                     "model2": UNIT}, "model1.marks[0].y"),
+    ("stabilizer", {"points": [" inf", "0", "1"]}, "points[0]"),
+    ("geiser", {"model": BICONIC, "point": {"xyz": ["3\n", "0", "1"], "t": ["1", "2"]}},
+     "point.xyz[0]"),
 ]
 MISREAD_IDS = ["string-lambda", "float-k", "float-xyz", "underscore-xyz", "string-pins",
-               "object-pins", "base-off-circle", "short-rect", "mark-without-y"]
+               "object-pins", "base-off-circle", "short-rect", "mark-without-y",
+               "padded-inf", "newline-xyz"]
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -359,6 +363,19 @@ def test_selftest_deterministic(capsys, tmp_path):
     assert report["passed"] is True
     assert {s["name"] for s in report["suites"]} >= {
         "interval-configs", "twist-transport", "geiser-involution", "lattice", "planner"}
+
+
+SELFTEST_CASES = {"interval-configs": 18, "twist-transport": 8, "geiser-involution": 8,
+                  "lattice": 4, "planner": 10}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_selftest_report_shape(capsys, seed):
+    assert run(["selftest", "--seed", str(seed)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"seed": seed, "passed": True, "suites": [
+        {"name": name, "cases": cases, "failures": []}
+        for name, cases in SELFTEST_CASES.items()]}
 
 
 # -- the CLI contract under malformed requests ---------------------------------------------------

@@ -186,3 +186,61 @@ def test_path_finder_agrees_with_flood_fill():
                     assert seg.a[0] not in fx
                 else:
                     assert seg.a[1] not in fy
+
+
+# -- the search against the polyline-merge reference ------------------------------------
+
+def _planner_case(rng):
+    """A seeded request: fractional, touching and degenerate rectangles,
+    forbidden lines on and off the grid, and endpoints that may coincide,
+    leave the region or sit on a forbidden line."""
+    def rat(hi=4):
+        return Fraction(rng.randint(0, hi * 2), rng.choice((1, 2, 2, 3)))
+
+    rects = []
+    for _ in range(rng.randint(1, 4)):
+        if rects and rng.random() < 0.6:
+            # touch the previous rectangle at an edge or a corner
+            x0 = rng.choice((rects[-1].x0, rects[-1].x1))
+            y0 = rng.choice((rects[-1].y0, rects[-1].y1))
+        else:
+            x0, y0 = rat(), rat()
+        rects.append(Rect(x0, x0 + rat(2), y0, y0 + rat(2)))
+    reg = Region(tuple(rects))
+
+    def endpoint(r):
+        if rng.random() < 0.1:
+            return (rat(), rat())
+        tx, ty = Fraction(rng.randint(0, 4), 4), Fraction(rng.randint(0, 4), 4)
+        return (r.x0 + tx * (r.x1 - r.x0), r.y0 + ty * (r.y1 - r.y0))
+
+    start = endpoint(rects[0])
+    end = start if rng.random() < 0.05 else endpoint(rng.choice(rects[-2:]))
+    grid_x = [r.x0 for r in rects] + [r.x1 for r in rects] + [start[0], end[0]]
+    grid_y = [r.y0 for r in rects] + [r.y1 for r in rects] + [start[1], end[1]]
+    fx = [rng.choice(grid_x) if rng.random() < 0.3 else rat()
+          for _ in range(rng.choice((0, 0, 1, 2)))]
+    fy = [rng.choice(grid_y) if rng.random() < 0.3 else rat()
+          for _ in range(rng.choice((0, 0, 1, 2)))]
+    return reg, start, end, fx, fy
+
+
+def _planner_outcome(find, *request):
+    try:
+        path = find(*request)
+    except Exception as exc:
+        return type(exc)
+    return None if path is None else path.as_json()
+
+
+def test_search_corners_match_the_polyline_merge():
+    rng = random.Random(20261019)
+    kinds = {"path": 0, "none": 0, "error": 0, "two-turns": 0}
+    for _ in range(10_000):
+        request = _planner_case(rng)
+        got = _planner_outcome(find_rect_path, *request)
+        assert got == _planner_outcome(support.reference_find_rect_path, *request), request
+        kinds["none" if got is None else "path" if isinstance(got, list) else "error"] += 1
+        kinds["two-turns"] += isinstance(got, list) and len(got) >= 3
+    # every outcome is well represented, so the agreement covers each of them
+    assert min(kinds.values()) >= 200 and min(kinds["path"], kinds["none"]) >= 1000, kinds

@@ -78,7 +78,8 @@ def test_format_rat_past_the_digit_limit(k):
     assert sys.get_int_max_str_digits() == limit
 
 
-@pytest.mark.parametrize("bad", ["2/4", "1/0", "3/-5", "a", "1.5", "", "5/", "\u0661/\u0662"])
+@pytest.mark.parametrize("bad", ["2/4", "1/0", "3/-5", "a", "1.5", "", "5/", "\u0661/\u0662",
+                                 " 3", "3\n", " inf"])
 def test_parse_rejects_bad_tokens(bad):
     with pytest.raises(ParseError):
         parse_rat(bad)
@@ -153,6 +154,9 @@ def test_point_tokens():
     assert ProjPoint.from_token("inf") == INF
     assert ProjPoint.from_token("7/3") == pt(Fraction(7, 3))
     assert INF.to_token() == "inf"
+    for padded in (" inf", "inf\n", "INF"):
+        with pytest.raises(ParseError):
+            ProjPoint.from_token(padded)
 
 
 # -- Moebius maps ------------------------------------------------------------
