@@ -263,13 +263,16 @@ MISREAD = [
      "rects[0]"),
     ("decide-iso", {"model1": {"roots": ["0", "1"], "marks": [{"x": "0", "z": "0"}]},
                     "model2": UNIT}, "model1.marks[0].y"),
+]
+MISREAD_IDS = ["string-lambda", "float-k", "float-xyz", "underscore-xyz", "string-pins",
+               "object-pins", "base-off-circle", "short-rect", "mark-without-y"]
+# Rational tokens carry no surrounding whitespace.
+PADDED = [
     ("stabilizer", {"points": [" inf", "0", "1"]}, "points[0]"),
     ("geiser", {"model": BICONIC, "point": {"xyz": ["3\n", "0", "1"], "t": ["1", "2"]}},
      "point.xyz[0]"),
 ]
-MISREAD_IDS = ["string-lambda", "float-k", "float-xyz", "underscore-xyz", "string-pins",
-               "object-pins", "base-off-circle", "short-rect", "mark-without-y",
-               "padded-inf", "newline-xyz"]
+PADDED_IDS = ["padded-inf", "newline-xyz"]
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -282,9 +285,9 @@ MISREAD_IDS = ["string-lambda", "float-k", "float-xyz", "underscore-xyz", "strin
     ("lattice", {"m": True}),
     ("decide-birational", {"model1": {"roots": "12"}, "model2": UNIT}),
     ("twist", {"model": UNIT, "jets": [["1/2"]]}),
-    *[(command, payload) for command, payload, _ in MISREAD],
+    *[(command, payload) for command, payload, _ in MISREAD + PADDED],
 ], ids=["number-root", "number-point", "number-pin", "number-bound", "number-rotation",
-        "short-t", "bool-m", "string-roots", "short-jet", *MISREAD_IDS])
+        "short-t", "bool-m", "string-roots", "short-jet", *MISREAD_IDS, *PADDED_IDS])
 def test_malformed_input_is_data_error_without_traceback(command, payload):
     proc = support.run_python("-m", "conicbundle.cli", command, stdin=json.dumps(payload))
     assert proc.returncode == 2, proc.stderr
@@ -304,6 +307,7 @@ def test_malformed_input_is_data_error_without_traceback(command, payload):
      "model1.roots[0]"),
     ("geiser", {"model": BICONIC, "point": {"xyz": ["1" + "0" * 5000, "0", "1"], "t": ["1", "2"]}},
      "point.xyz[0]"),
+    *PADDED,
 ])
 def test_schema_error_names_field(capsys, command, payload, field):
     code, out, err = invoke(capsys, command, payload)
