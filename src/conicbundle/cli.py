@@ -262,37 +262,37 @@ def _cmd_region_path(payload):
     return 0, {"answer": True, "path": path.as_json(), "segments": len(path)}
 
 
-def _selftest_configs(rng: random.Random, count: int, r: int):
-    configs = []
-    while len(configs) < count:
-        values = rng.sample(range(-40, 41), 2 * r)
-        dens = [rng.choice((1, 1, 2, 3)) for _ in values]
-        points = sorted(Fraction(v, d) for v, d in zip(values, dens))
-        if len(set(points)) < 2 * r:
-            continue
-        pairs = [(points[2 * i], points[2 * i + 1]) for i in range(r)]
-        configs.append(pj.IntervalConfig.from_rat_pairs(pairs))
-    return configs
+def _failed(*checks) -> list:
+    """The messages of the (holds, message) checks that do not hold."""
+    return [message for holds, message in checks if not holds]
 
 
 def _selftest(seed: int) -> dict:
+    """The property-suite report for one seed.
+
+    Each case adds the list of its failure messages to its suite; a suite's
+    report counts its cases and joins their failures.  A case that raises is
+    a defect, which run() reports as an internal error.
+    """
     rng = random.Random(seed)
-    suites = []
+    suites = {name: [] for name in ("interval-configs", "twist-transport",
+                                    "geiser-involution", "lattice", "planner")}
 
-    failures = []
-    cases = 0
+    configs = suites["interval-configs"]
     for r in (1, 2, 3):
-        for config in _selftest_configs(rng, 6, r):
-            cases += 1
-            if _config(config.as_json(), "config") != config:
-                failures.append(f"roundtrip broke for {config}")
+        while len(configs) < 6 * r:  # six configurations of each r
+            values = rng.sample(range(-40, 41), 2 * r)
+            dens = [rng.choice((1, 1, 2, 3)) for _ in values]
+            points = sorted(Fraction(v, d) for v, d in zip(values, dens))
+            if len(set(points)) < 2 * r:
+                continue
+            config = pj.IntervalConfig.from_rat_pairs(zip(points[::2], points[1::2]))
             got = pj.config_equiv(config, config, tuple(range(r)))
-            if got is None or got[0] != pj.Moebius.identity():
-                failures.append(f"self-equivalence missed the identity on {config}")
-    suites.append({"name": "interval-configs", "cases": cases, "failures": failures})
+            configs.append(_failed(
+                (_config(config.as_json(), "config") == config, f"roundtrip broke for {config}"),
+                (got is not None and got[0] == pj.Moebius.identity(),
+                 f"self-equivalence missed the identity on {config}")))
 
-    failures = []
-    cases = 0
     spins = [tw.Rotation.identity(), tw.Rotation(Fraction(0), Fraction(1)),
              tw.Rotation(Fraction(3, 5), Fraction(4, 5)),
              tw.Rotation(Fraction(-3, 5), Fraction(4, 5)),
@@ -302,47 +302,27 @@ def _selftest(seed: int) -> dict:
         fibers = [p for lo, hi in zip(model.roots[::2], model.roots[1::2])
                   for p in islice(tw.ladder_fibers(model, lo, hi), 1)]
         for _ in range(2):
-            cases += 1
             chosen = fibers[:rng.randint(1, len(fibers))]
-            pairs = []
-            for p in chosen:
-                y, z = rng.choice(spins).apply(p.y, p.z)
-                pairs.append((p, cm.SurfPoint(p.x, y, z)))
+            pairs = [(p, cm.SurfPoint(p.x, *rng.choice(spins).apply(p.y, p.z))) for p in chosen]
             # ladder fibers lie strictly inside their intervals, off every root
             twist = tw.synthesize_twist(model, pairs, pins=model.roots[:1])
-            for p, q in pairs:
-                if tw.apply_twist(model, twist, p) != q:
-                    failures.append(f"transport missed on roots {roots}")
-    suites.append({"name": "twist-transport", "cases": cases, "failures": failures})
+            suites["twist-transport"].append([f"transport missed on roots {roots}"
+                                              for p, q in pairs if tw.apply_twist(model, twist, p) != q])
 
-    failures = []
-    cases = 0
-    models = [
-        dp.biconic_from_config(pj.IntervalConfig.from_rat_pairs([(0, 1)])),
-        dp.biconic_from_config(pj.IntervalConfig.from_rat_pairs([(-2, 2)])),
-        dp.biconic_from_config(pj.IntervalConfig.from_rat_pairs([(0, 1), (2, 3)])),
-    ]
-    for model in models:
-        image = dp.biconic_interval_image(model)
-        for arc in image.intervals:
-            t = arc.interior_point()
-            for p in dp.fiber_points(model, t, want=4):
-                cases += 1
-                if dp.geiser(model, dp.geiser(model, p)) != p:
-                    failures.append(f"involution broke at {p}")
-    suites.append({"name": "geiser-involution", "cases": cases, "failures": failures})
+    for arcs in ([(0, 1)], [(-2, 2)], [(0, 1), (2, 3)]):
+        model = dp.biconic_from_config(pj.IntervalConfig.from_rat_pairs(arcs))
+        for arc in dp.biconic_interval_image(model).intervals:
+            for p in dp.fiber_points(model, arc.interior_point(), want=4):
+                suites["geiser-involution"].append(_failed(
+                    (dp.geiser(model, dp.geiser(model, p)) == p, f"involution broke at {p}")))
 
-    failures = []
-    counts = {5: 16, 6: 27, 7: 56}
-    for m, expected in counts.items():
-        if len(lat.exceptional_classes(m)) != expected:
-            failures.append(f"class count for m={m}")
-    sigma, alpha = lat.deg4_sigma(), lat.deg4_alpha()
-    if not (sigma.is_involution and alpha.is_involution
-            and lat.perms_commute(sigma, alpha)
-            and lat.perm_preserves_form(sigma) and lat.perm_preserves_form(alpha)):
-        failures.append("degree-4 permutation checks")
-    suites.append({"name": "lattice", "cases": len(counts) + 1, "failures": failures})
+    # one case per class count, and one for every check the tables print
+    tables = [_cmd_lattice({"m": m})[1] for m in (5, 6, 7)]
+    for table, expected in zip(tables, (16, 27, 56)):
+        suites["lattice"].append(_failed(
+            (table["count"] == expected, f"class count for m={table['m']}")))
+    suites["lattice"].append([f"m={table['m']} check {name}" for table in tables
+                              for name, holds in table.get("checks", {}).items() if not holds])
 
     # find_rect_path validates every path it returns, so a case fails only
     # by raising
@@ -357,10 +337,11 @@ def _selftest(seed: int) -> dict:
         start = ((a.x0 + a.x1) / 2, (a.y0 + a.y1) / 2)
         end = ((b.x0 + b.x1) / 2, (b.y0 + b.y1) / 2)
         pl.find_rect_path(region, start, end)
-    suites.append({"name": "planner", "cases": 10, "failures": []})
+        suites["planner"].append([])
 
-    passed = all(not s["failures"] for s in suites)
-    return {"seed": seed, "passed": passed, "suites": suites}
+    report = [{"name": name, "cases": len(cases), "failures": [f for case in cases for f in case]}
+              for name, cases in suites.items()]
+    return {"seed": seed, "passed": not any(s["failures"] for s in report), "suites": report}
 
 
 _HANDLERS = {
@@ -388,10 +369,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in SUBCOMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--input", default=None, help="JSON request file (default: stdin)")
-        p.add_argument("--output", default=None, help="output file (default: stdout)")
         if name == "selftest":
             p.add_argument("--seed", type=int, default=0)
+        else:
+            p.add_argument("--input", default=None, help="JSON request file (default: stdin)")
+        p.add_argument("--output", default=None, help="output file (default: stdout)")
     return parser
 
 

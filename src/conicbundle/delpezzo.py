@@ -79,11 +79,11 @@ class BinQuadForm:
     def rational_roots(self) -> List[ProjPoint]:
         """Roots in P^1(Q); raises when real roots exist but are irrational."""
         if self.al == 0:
-            # m = b (be*a + ga*b); be != 0 here since the form has disc != 0
-            # whenever it is non-degenerate, and be == 0 means a double root.
+            # m = b (be*a + ga*b) vanishes at infinity, and at -ga/be when
+            # be != 0; be == 0 makes infinity a double root.
             roots = [INF]
             if self.be != 0:
-                roots.append(ProjPoint.from_rat(Fraction(-self.ga, self.be) if self.ga != 0 else Fraction(0)))
+                roots.append(ProjPoint.from_rat(-self.ga / self.be))
             return roots
         d = self.disc
         if d < 0:
@@ -249,25 +249,21 @@ def geiser(model: BiconicModel, p: BiPoint) -> BiPoint:
     quadratic.
 
     Fixing (x : y : z) turns the surface equation into a binary quadratic
-    A a^2 + B ab + C b^2 in the P^1 coordinate; p.t is one root, and the
-    image is the second root, obtained by dividing out the known factor so
-    that every projective edge case (A = 0, root at infinity, double root)
-    lands in the same formula.
+    A a^2 + B ab + C b^2 in the P^1 coordinate, and p.t = (a0 : b0) is one
+    root.  Writing it as k (b0 a - a0 b)(b1 a - a1 b) and comparing
+    coefficients (Vieta) gives
+    k (a0^2 + b0^2) (a1, b1) = ((C - A) a0 - B b0, (A - C) b0 - B a0),
+    one formula for every projective case (A = 0, root at infinity, double
+    root).  It vanishes exactly when k = 0, that is when A = B = C = 0.
     """
     if not on_biconic(model, p):
         raise NotOnSurface(f"{p.xyz} over {p.t} is not on the surface")
     a_coef, b_coef, c_coef = _fiber_quadratic(model, p.xyz)
     a0, b0 = p.t.u0, p.t.u1
-    # A a^2 + B ab + C b^2 = (b0 a - a0 b)(pp a - qq b)
-    if b0 != 0:
-        pp = Fraction(a_coef, b0)
-        qq = Fraction(c_coef, a0) if a0 != 0 else Fraction(-b_coef, b0)
-    else:
-        pp = Fraction(-b_coef)
-        qq = Fraction(c_coef)
-    if pp == 0 and qq == 0:
+    image = ((c_coef - a_coef) * a0 - b_coef * b0, (a_coef - c_coef) * b0 - b_coef * a0)
+    if image == (0, 0):
         raise Unsupported("fiber quadratic vanishes identically over this point")
-    return BiPoint(p.xyz, ProjPoint(*clear_denominators((qq, pp))))
+    return BiPoint(p.xyz, ProjPoint(*clear_denominators(image)))
 
 
 def second_fibration(model: BiconicModel, p: BiPoint) -> ProjPoint:

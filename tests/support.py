@@ -10,7 +10,9 @@ Fraction-by-Fraction forms of the integer kernels of the fiber layers and of
 the linear solver, and the map-building forms of the Moebius witness search.
 The pairwise disjointness check and the gap-run walk are the references for
 the boundary walk that IntervalConfig and biconic_interval_image share, and
-the polyline merge is the reference for the planner's corners.
+the polyline merge is the reference for the planner's corners.  The
+Geiser reference divides the known root out of the fiber quadratic, branch by
+branch on which coordinate of that root is zero.
 """
 
 import heapq
@@ -34,16 +36,19 @@ from conicbundle import (
     parse_rat,
     validate_path,
 )
+from conicbundle.delpezzo import BiPoint, _fiber_quadratic, on_biconic
 from conicbundle.errors import (
     DuplicateNode,
     ImageIsWholeLine,
     InfiniteStabilizer,
     InvalidModel,
     InvalidTriple,
+    NotOnSurface,
     OnForbiddenLine,
     OutsideRegion,
+    Unsupported,
 )
-from conicbundle.projline import LADDER, Interval, ProjPoint, _walk_key
+from conicbundle.projline import LADDER, Interval, ProjPoint, _walk_key, clear_denominators
 from conicbundle.twist import ladder_fibers
 
 
@@ -595,3 +600,22 @@ def reference_find_rect_path(region, start, end, forbidden_x=(), forbidden_y=())
     if not validate_path(region, path, start, end, fx, fy):
         raise AssertionError("planner produced a path that fails validation")
     return path
+
+
+def reference_geiser(model, p):
+    """The second root of the fiber quadratic over p.xyz, by dividing out the
+    known root p.t = (a0 : b0) with a branch on which coordinate is zero."""
+    if not on_biconic(model, p):
+        raise NotOnSurface(f"{p.xyz} over {p.t} is not on the surface")
+    a_coef, b_coef, c_coef = _fiber_quadratic(model, p.xyz)
+    a0, b0 = p.t.u0, p.t.u1
+    # A a^2 + B ab + C b^2 = (b0 a - a0 b)(pp a - qq b)
+    if b0 != 0:
+        pp = Fraction(a_coef, b0)
+        qq = Fraction(c_coef, a0) if a0 != 0 else Fraction(-b_coef, b0)
+    else:
+        pp = Fraction(-b_coef)
+        qq = Fraction(c_coef)
+    if pp == 0 and qq == 0:
+        raise Unsupported("fiber quadratic vanishes identically over this point")
+    return BiPoint(p.xyz, ProjPoint(*clear_denominators((qq, pp))))

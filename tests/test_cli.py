@@ -18,6 +18,7 @@ from conicbundle import (
     apply_twist,
     cli,
 )
+from conicbundle import delpezzo, lattice, planner, projline, twist
 from conicbundle.cli import run
 from conicbundle.projline import ProjPoint
 from conicbundle.projline import interval_image as arc_image
@@ -341,6 +342,20 @@ def test_unknown_command_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
 
 
+def test_selftest_rejects_input_without_traceback(tmp_path):
+    proc = support.run_python("-m", "conicbundle.cli", "selftest", "--seed", "1",
+                              "--input", str(tmp_path / "request.json"))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "--input" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_readme_table_lists_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"^\| `([a-z-]+)` \|", readme, re.M) == list(cli.SUBCOMMANDS)
+
+
 # -- determinism -------------------------------------------------------------------------------
 
 def test_identical_input_identical_output(capsys):
@@ -380,6 +395,34 @@ def test_selftest_report_shape(capsys, seed):
     assert report == {"seed": seed, "passed": True, "suites": [
         {"name": name, "cases": cases, "failures": []}
         for name, cases in SELFTEST_CASES.items()]}
+
+
+@pytest.mark.parametrize("suite, module, name, fake", [
+    ("interval-configs", projline, "config_equiv", lambda *args: None),
+    ("twist-transport", twist, "apply_twist", lambda model, twist_map, p: p),
+    ("geiser-involution", delpezzo, "geiser",
+     lambda model, p: delpezzo.BiPoint(p.xyz, ProjPoint(p.t.u0 + p.t.u1, p.t.u1))),
+    ("lattice", lattice, "perms_commute", lambda p, q: False),
+], ids=["config-equiv", "apply-twist", "geiser", "perms-commute"])
+def test_selftest_fails_the_suite_whose_check_breaks(capsys, monkeypatch, suite, module, name, fake):
+    monkeypatch.setattr(module, name, fake)
+    assert run(["selftest", "--seed", "0"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert {s["name"]: s["cases"] for s in report["suites"]} == SELFTEST_CASES
+    assert [s["name"] for s in report["suites"] if s["failures"]] == [suite]
+
+
+def test_selftest_case_that_raises_is_an_internal_error(capsys, monkeypatch):
+    # find_rect_path validates its own path, so a planner case fails by raising
+    def broken(*args, **kwargs):
+        raise AssertionError("planner produced a path that fails validation")
+    monkeypatch.setattr(planner, "find_rect_path", broken)
+    assert run(["selftest", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err)["error"] == "internal"
 
 
 # -- the CLI contract under malformed requests ---------------------------------------------------

@@ -377,6 +377,54 @@ def test_geiser_singular_fiber_point_moves_between_boundaries():
     assert geiser(model, q) == p
 
 
+def _geiser_case(rng):
+    """A model and a point on it whose fiber quadratic is
+    k (b0 a - a0 b)(b1 a - a1 b), with t = (a0 : b0) and image (a1 : b1): m1
+    and m2 are random and m3 is solved from the quadratic.  t is (1:0) or
+    (0:1) at least two times in three, the roots coincide a fifth of the
+    time, and k = 0 makes the quadratic vanish.  None when the forms are not
+    a model."""
+    def root():
+        return rng.choice([(1, 0), (0, 1), (rng.randint(-5, 5), rng.randint(1, 5))])
+    x, y = rng.randint(-4, 4), rng.randint(-4, 4)
+    z = rng.choice([-3, -2, -1, 1, 2, 3])
+    (a0, b0), k = root(), rng.randint(-3, 3)
+    a1, b1 = (a0, b0) if rng.random() < 0.2 else root()
+    target = (k * b0 * b1, -k * (b0 * a1 + a0 * b1), k * a0 * a1)
+    m1, m2 = ([rng.randint(-4, 4) for _ in range(3)] for _ in range(2))
+    m3 = [Fraction(q - x * x * u - y * y * v, z * z) for q, u, v in zip(target, m1, m2)]
+    try:
+        model = BiconicModel(BinQuadForm(*m1), BinQuadForm(*m2), BinQuadForm(*m3), 0)
+        p = BiPoint((x, y, z), ProjPoint(a0, b0))
+        return model, p, ProjPoint(a1, b1) if k else None
+    except InvalidModel:  # a zero form, a double root or a shared root
+        return None
+
+
+def test_geiser_vieta_matches_the_branch_reference():
+    rng = random.Random(20260)
+    seen = Counter()
+    while seen["points"] < 10_000:
+        case = _geiser_case(rng)
+        if case is None:
+            continue
+        model, p, image = case
+        seen["points"] += 1
+        try:  # the reference raises NotOnSurface off the surface
+            expected = support.reference_geiser(model, p)
+        except Unsupported:
+            with pytest.raises(Unsupported):
+                geiser(model, p)
+            seen["unsupported"] += 1
+            continue
+        assert geiser(model, p) == expected
+        assert expected.t == image
+        seen["infinity"] += p.t == ProjPoint(1, 0)
+        seen["zero"] += p.t == ProjPoint(0, 1)
+        seen["fixed"] += image == p.t
+    assert min(seen.values()) >= 100, seen
+
+
 def test_bipoint_json_roundtrip():
     p = BiPoint((3, 0, 1), ProjPoint(1, 2))
     assert cli._bipoint(p.as_json(), "point") == p
