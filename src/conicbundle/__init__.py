@@ -12,17 +12,13 @@ combinatorics, and a rectilinear path planner for rectangle unions.
 from .conic_model import (
     ConicModel,
     MarkedModel,
-    ScalingIso,
     SurfPoint,
     VeryTransitiveVerdict,
     component_index,
     decide_birational,
     decide_marked_iso,
     decide_very_transitive,
-    marked_homeo_types,
-    model_from_config,
     on_surface,
-    scaling_iso,
     very_transitive_verdict,
 )
 from .delpezzo import (
@@ -61,7 +57,6 @@ from .projline import (
     ProjPoint,
     Rat,
     config_equiv,
-    cross_ratio,
     format_rat,
     moebius_from_triples,
     parse_rat,

@@ -14,16 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .errors import (
-    InvalidModel,
-    IrrationalScale,
-    MoveInfinityFirst,
-    NotOnSurface,
-    NotProportional,
-)
-from .polynomial import RatPoly
+from .errors import InvalidModel, NotOnSurface
 from .projline import (
-    INF,
     Interval,
     IntervalConfig,
     Moebius,
@@ -31,8 +23,6 @@ from .projline import (
     Rat,
     _equiv_candidates,
     config_equiv,
-    format_rat,
-    rational_sqrt,
     realizable_permutations,
 )
 
@@ -82,12 +72,6 @@ class ConicModel:
     def q_at(self, x) -> Rat:
         return Fraction(*self.q_ratio(Fraction(x)))
 
-    def q_poly(self) -> RatPoly:
-        return RatPoly.from_roots(self.roots, scale=-1)
-
-    def as_json(self) -> dict:
-        return {"roots": [format_rat(a) for a in self.roots]}
-
 
 @dataclass(frozen=True)
 class SurfPoint:
@@ -102,9 +86,6 @@ class SurfPoint:
             if not isinstance(getattr(self, name), Fraction):
                 object.__setattr__(self, name, Fraction(getattr(self, name)))
 
-    def as_json(self) -> dict:
-        return {"x": format_rat(self.x), "y": format_rat(self.y), "z": format_rat(self.z)}
-
 
 def on_surface(model: ConicModel, p: SurfPoint) -> bool:
     """Exact membership test y^2 + z^2 - Q(x) = 0."""
@@ -117,52 +98,6 @@ def interval_image(model: ConicModel) -> IntervalConfig:
         Interval(ProjPoint.from_rat(model.roots[2 * i]), ProjPoint.from_rat(model.roots[2 * i + 1]))
         for i in range(model.r))
     return IntervalConfig(arcs)
-
-
-def model_from_config(config: IntervalConfig) -> ConicModel:
-    """The model whose interval image is the given finite configuration."""
-    if config.r < 1:
-        raise InvalidModel("a model needs at least one interval")
-    for arc in config.intervals:
-        if arc.contains(INF):
-            raise MoveInfinityFirst(f"{arc} touches infinity; conjugate it away first")
-    return ConicModel(tuple(sorted(p.to_rat() for arc in config.intervals
-                                   for p in (arc.start, arc.end))))
-
-
-@dataclass(frozen=True)
-class ScalingIso:
-    """The fiberwise isomorphism onto y^2 + z^2 = lam * Q(x).
-
-    The point map (x, y, z) -> (x, s*y, s*z) with s = sqrt(lam) is applied
-    exactly only when lam is a rational square; otherwise the factor is
-    recorded and application is refused.
-    """
-
-    lam: Rat
-    sqrt: Optional[Rat]
-
-    @property
-    def exact(self) -> bool:
-        return self.sqrt is not None
-
-    def apply(self, p: SurfPoint) -> SurfPoint:
-        if self.sqrt is None:
-            raise IrrationalScale(f"{self.lam} is not a rational square; symbolic only")
-        return SurfPoint(p.x, self.sqrt * p.y, self.sqrt * p.z)
-
-
-def scaling_iso(model: ConicModel, qprime: RatPoly) -> ScalingIso:
-    """The positive constant lam with qprime = lam * Q, as a point map."""
-    q = model.q_poly()
-    if qprime.degree != q.degree or qprime.is_zero:
-        raise NotProportional("polynomials have different degrees")
-    lam = qprime.coeffs[-1] / q.coeffs[-1]
-    if lam <= 0:
-        raise NotProportional(f"proportionality factor {lam} is not positive")
-    if q * lam != qprime:
-        raise NotProportional("polynomial is not a constant multiple of Q")
-    return ScalingIso(lam, rational_sqrt(lam))
 
 
 def component_index(model: ConicModel, p: SurfPoint) -> int:
@@ -197,19 +132,10 @@ class MarkedModel:
             counts[component_index(self.model, p) - 1] += 1
         return tuple(counts)
 
-    def as_json(self) -> dict:
-        obj = self.model.as_json()
-        obj["marks"] = [p.as_json() for p in self.marks]
-        return obj
-
 
 def homeo_types_from_counts(counts) -> tuple:
     """Component i is a sphere with count[i] cross-caps (S2 when zero)."""
     return tuple("S2" if k == 0 else f"N{k}" for k in counts)
-
-
-def marked_homeo_types(marked: MarkedModel) -> tuple:
-    return homeo_types_from_counts(marked.mark_counts())
 
 
 def decide_birational(m1: ConicModel, m2: ConicModel) -> Optional[Moebius]:

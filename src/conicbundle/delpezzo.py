@@ -72,10 +72,6 @@ class BinQuadForm:
     def disc(self) -> Rat:
         return self.be * self.be - 4 * self.al * self.ga
 
-    def scaled(self, factor: Rat) -> "BinQuadForm":
-        factor = Fraction(factor)
-        return BinQuadForm(self.al * factor, self.be * factor, self.ga * factor)
-
     def rational_roots(self) -> List[ProjPoint]:
         """Roots in P^1(Q); raises when real roots exist but are irrational."""
         if self.al == 0:
@@ -96,9 +92,6 @@ class BinQuadForm:
         if first == second:
             return [ProjPoint.from_rat(first)]
         return [ProjPoint.from_rat(first), ProjPoint.from_rat(second)]
-
-    def as_json(self) -> list:
-        return [format_rat(self.al), format_rat(self.be), format_rat(self.ga)]
 
 
 def resultant(f: BinQuadForm, g: BinQuadForm) -> Rat:
@@ -135,10 +128,6 @@ class BiconicModel:
 
     def values_at(self, t: ProjPoint) -> tuple:
         return tuple(f.at_point(t) for f in self.forms)
-
-    def as_json(self) -> dict:
-        return {"m1": self.m1.as_json(), "m2": self.m2.as_json(),
-                "m3": self.m3.as_json(), "k": self.k}
 
 
 @dataclass(frozen=True)
@@ -249,17 +238,17 @@ def geiser(model: BiconicModel, p: BiPoint) -> BiPoint:
     quadratic.
 
     Fixing (x : y : z) turns the surface equation into a binary quadratic
-    A a^2 + B ab + C b^2 in the P^1 coordinate, and p.t = (a0 : b0) is one
-    root.  Writing it as k (b0 a - a0 b)(b1 a - a1 b) and comparing
-    coefficients (Vieta) gives
+    A a^2 + B ab + C b^2 in the P^1 coordinate, and p lies on the surface
+    exactly when p.t = (a0 : b0) is one of its roots.  Writing it as
+    k (b0 a - a0 b)(b1 a - a1 b) and comparing coefficients (Vieta) gives
     k (a0^2 + b0^2) (a1, b1) = ((C - A) a0 - B b0, (A - C) b0 - B a0),
     one formula for every projective case (A = 0, root at infinity, double
     root).  It vanishes exactly when k = 0, that is when A = B = C = 0.
     """
-    if not on_biconic(model, p):
-        raise NotOnSurface(f"{p.xyz} over {p.t} is not on the surface")
     a_coef, b_coef, c_coef = _fiber_quadratic(model, p.xyz)
     a0, b0 = p.t.u0, p.t.u1
+    if a_coef * a0 * a0 + b_coef * a0 * b0 + c_coef * b0 * b0 != 0:
+        raise NotOnSurface(f"{p.xyz} over {p.t} is not on the surface")
     image = ((c_coef - a_coef) * a0 - b_coef * b0, (a_coef - c_coef) * b0 - b_coef * a0)
     if image == (0, 0):
         raise Unsupported("fiber quadratic vanishes identically over this point")

@@ -37,14 +37,6 @@ class NotOnSurface(ConicBundleError):
     """The point does not satisfy the surface equation."""
 
 
-class NotProportional(ConicBundleError):
-    """The polynomial is not a positive rational multiple of the model's."""
-
-
-class IrrationalScale(ConicBundleError):
-    """The scaling factor is not a rational square; the map is symbolic only."""
-
-
 class EmptyOrSingularFiber(ConicBundleError):
     """The fiber over this parameter has no real circle to rotate."""
 

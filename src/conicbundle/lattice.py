@@ -34,10 +34,6 @@ class PicVector:
     def m(self) -> int:
         return len(self.coords) - 1
 
-    @property
-    def d(self) -> int:
-        return self.coords[0]
-
     def __add__(self, other: "PicVector") -> "PicVector":
         _check_basis(self, other)
         return PicVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -45,9 +41,6 @@ class PicVector:
     def __sub__(self, other: "PicVector") -> "PicVector":
         _check_basis(self, other)
         return PicVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "PicVector":
-        return PicVector(tuple(-a for a in self.coords))
 
     def __mul__(self, scalar: int) -> "PicVector":
         return PicVector(tuple(a * scalar for a in self.coords))
@@ -146,9 +139,6 @@ class ClassPerm:
         if sorted(self.mapping) != list(range(len(self.classes))):
             raise ValueError("mapping is not a permutation of the class list")
 
-    def image_of(self, v: PicVector) -> PicVector:
-        return self.classes[self.mapping[self.classes.index(v)]]
-
     def compose(self, other: "ClassPerm") -> "ClassPerm":
         if self.classes != other.classes:
             raise BasisMismatch("permutations act on different class lists")
@@ -161,10 +151,6 @@ class ClassPerm:
 
     def fixed_indices(self) -> list:
         return [i for i, j in enumerate(self.mapping) if i == j]
-
-    def as_json(self) -> dict:
-        return {"classes": [list(c.coords) for c in self.classes],
-                "mapping": list(self.mapping)}
 
 
 def deg4_class_names() -> Dict[str, PicVector]:

@@ -44,10 +44,6 @@ class Rect:
     def contains(self, p: Point) -> bool:
         return self.x0 <= p[0] <= self.x1 and self.y0 <= p[1] <= self.y1
 
-    def as_json(self) -> list:
-        return [[format_rat(self.x0), format_rat(self.x1)],
-                [format_rat(self.y0), format_rat(self.y1)]]
-
 
 @dataclass(frozen=True)
 class Region:
@@ -63,9 +59,6 @@ class Region:
 
     def contains(self, p: Point) -> bool:
         return any(r.contains(p) for r in self.rects)
-
-    def as_json(self) -> list:
-        return [r.as_json() for r in self.rects]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable
 
 from .projline import Rat, clear_denominators, format_rat
 
@@ -30,15 +29,6 @@ class RatPoly:
     @staticmethod
     def one() -> "RatPoly":
         return RatPoly((Fraction(1),))
-
-    @staticmethod
-    def constant(c) -> "RatPoly":
-        return RatPoly((Fraction(c),))
-
-    @property
-    def degree(self) -> int:
-        """Degree as an int, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
@@ -93,22 +83,8 @@ class RatPoly:
     def derivative(self) -> "RatPoly":
         return RatPoly(tuple(c * k for k, c in enumerate(self.coeffs) if k > 0))
 
-    @staticmethod
-    def from_roots(roots: Iterable, scale=1) -> "RatPoly":
-        """scale * prod (x - r) over the given roots."""
-        poly = RatPoly.constant(scale)
-        for r in roots:
-            poly = poly * RatPoly((-Fraction(r), Fraction(1)))
-        return poly
-
     def as_json(self) -> list:
         return [format_rat(c) for c in self.coeffs]
-
-    def __repr__(self):
-        if self.is_zero:
-            return "RatPoly(0)"
-        terms = [f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c != 0]
-        return "RatPoly(" + " + ".join(terms) + ")"
 
 
 def solve_linear(rows: list, rhs: list) -> list:

@@ -381,13 +381,6 @@ def _cross_pair(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> tuple
             (d.u0 * c.u1 - d.u1 * c.u0) * (b.u0 * a.u1 - b.u1 * a.u0))
 
 
-def cross_ratio(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint, p4: ProjPoint) -> ProjPoint:
-    """Image of p4 under the map sending (p1, p2, p3) to (0, 1, inf)."""
-    if len({p1, p2, p3}) != 3:
-        raise InvalidTriple(f"repeated source point in ({p1}, {p2}, {p3})")
-    return ProjPoint(*_cross_pair(p1, p2, p3, p4))
-
-
 @dataclass(frozen=True)
 class Interval:
     """The closed arc from start to end in the positive orientation."""
@@ -405,9 +398,6 @@ class Interval:
         if ks < ke:
             return ks <= kp <= ke
         return kp >= ks or kp <= ke
-
-    def interior_contains(self, p: ProjPoint) -> bool:
-        return self.contains(p) and p != self.start and p != self.end
 
     def interior_point(self) -> ProjPoint:
         """A rational point strictly inside the arc."""
@@ -465,9 +455,6 @@ class IntervalConfig:
     def boundary_points(self) -> list:
         """All 2r boundary points in cyclic walk order."""
         return list(self._walk)
-
-    def contains(self, p: ProjPoint) -> bool:
-        return any(arc.contains(p) for arc in self.intervals)
 
     def apply(self, m: Moebius) -> "IntervalConfig":
         return IntervalConfig(tuple(interval_image(m, arc) for arc in self.intervals))

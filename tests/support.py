@@ -201,6 +201,12 @@ def random_config(rng, r, low=-60, high=60, dens=(1, 1, 1, 2, 2, 3, 4, 5, 6)):
         return IntervalConfig.from_rat_pairs(pairs)
 
 
+def config_model(config):
+    """The model whose interval image is the given finite configuration:
+    its boundary rationals, sorted, are the roots."""
+    return ConicModel(tuple(sorted(p.to_rat() for p in config.boundary_points())))
+
+
 def random_model(rng, r, low=-8, high=8):
     roots = set()
     while len(roots) < 2 * r:
@@ -345,7 +351,7 @@ def hermite_interpolate(nodes) -> RatPoly:
     # Newton form f[z_0] + f[z_0, z_1] (x - z_0) + ..., expanded by Horner.
     poly = RatPoly.zero()
     for z, coeff in zip(reversed(zs), reversed(table)):
-        poly = poly * RatPoly((-z, Fraction(1))) + RatPoly.constant(coeff)
+        poly = poly * RatPoly((-z, Fraction(1))) + RatPoly((coeff,))
     return poly
 
 

@@ -7,21 +7,15 @@ import pytest
 
 from conicbundle import (
     ConicModel,
-    Interval,
     IntervalConfig,
     MarkedModel,
     Moebius,
-    ProjPoint,
-    RatPoly,
     SurfPoint,
     component_index,
     decide_birational,
     decide_marked_iso,
     decide_very_transitive,
-    marked_homeo_types,
-    model_from_config,
     on_surface,
-    scaling_iso,
     very_transitive_verdict,
 )
 from conicbundle.conic_model import (
@@ -31,15 +25,10 @@ from conicbundle.conic_model import (
     RULE_ONE_PAIR_FAIL,
     RULE_ONE_PAIR_SWAP,
     RULE_TOO_MANY,
+    homeo_types_from_counts,
     interval_image,
 )
-from conicbundle.errors import (
-    InvalidModel,
-    IrrationalScale,
-    MoveInfinityFirst,
-    NotOnSurface,
-    NotProportional,
-)
+from conicbundle.errors import InvalidModel, NotOnSurface
 
 import support
 
@@ -56,13 +45,6 @@ def marked(roots, mark_xs=()):
 
 # -- construction ------------------------------------------------------------
 
-def test_model_from_config_single_interval():
-    model = model_from_config(cfg((0, 1)))
-    assert model.roots == (0, 1)
-    assert model.q_at(Fraction(1, 2)) == Fraction(1, 4)
-    assert model.q_at(2) == -2
-
-
 def test_q_at_matches_fraction_product():
     rng = random.Random(61)
     for r in (1, 2, 3):
@@ -76,25 +58,6 @@ def test_q_at_matches_fraction_product():
             xs += [Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(10)]
             for x in xs:
                 assert model.q_at(x) == support.reference_q_at(model, x), (model, x)
-
-
-def test_model_from_config_collects_boundaries():
-    model = model_from_config(cfg((0, 1), (2, 3)))
-    assert model.roots == (0, 1, 2, 3)
-
-
-def test_model_from_config_three_intervals_has_six_roots():
-    model = model_from_config(cfg((0, 1), (2, 3), (4, 5)))
-    assert model.r == 3
-    assert len(model.roots) == 6
-
-
-def test_model_from_config_rejects_infinity():
-    # the arc from 5 to -1 runs through infinity; the others end there
-    for arc in (("5", "-1"), ("inf", "0"), ("0", "inf")):
-        config = IntervalConfig((Interval(*map(ProjPoint.from_token, arc)),))
-        with pytest.raises(MoveInfinityFirst):
-            model_from_config(config)
 
 
 def test_model_validation():
@@ -117,7 +80,7 @@ def test_interval_image_roundtrip_random():
     rng = random.Random(7)
     for _ in range(40):
         config = support.random_config(rng, rng.choice((1, 2, 3)))
-        assert interval_image(model_from_config(config)) == config
+        assert interval_image(support.config_model(config)) == config
 
 
 def test_sign_alternation_oracle():
@@ -139,47 +102,8 @@ def test_on_surface_examples():
     assert on_surface(model, SurfPoint(Fraction(1, 2), Fraction(1, 2), 0))
     assert not on_surface(model, SurfPoint(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
     assert on_surface(model, SurfPoint(0, 0, 0))
-
-
-# -- scaling isomorphism -------------------------------------------------------
-
-def test_scaling_identity():
-    model = ConicModel((0, 1))
-    iso = scaling_iso(model, model.q_poly())
-    assert iso.lam == 1 and iso.sqrt == 1
-    p = SurfPoint(Fraction(1, 2), Fraction(1, 2), 0)
-    assert iso.apply(p) == p
-
-
-def test_scaling_square_factor():
-    model = ConicModel((0, 1))
-    iso = scaling_iso(model, model.q_poly() * 4)
-    assert iso.lam == 4 and iso.sqrt == 2
-    p = SurfPoint(Fraction(1, 2), Fraction(1, 2), 0)
-    q = iso.apply(p)
-    assert q == SurfPoint(Fraction(1, 2), 1, 0)
-    # image satisfies y^2 + z^2 = 4 Q(x)
-    assert q.y ** 2 + q.z ** 2 == 4 * model.q_at(q.x)
-
-
-def test_scaling_nonsquare_is_symbolic():
-    model = ConicModel((0, 1))
-    iso = scaling_iso(model, model.q_poly() * 2)
-    assert iso.lam == 2 and not iso.exact
-    with pytest.raises(IrrationalScale):
-        iso.apply(SurfPoint(Fraction(1, 2), Fraction(1, 2), 0))
-
-
-def test_scaling_rejects_non_proportional():
-    model = ConicModel((0, 1))
-    with pytest.raises(NotProportional):
-        scaling_iso(model, model.q_poly() + RatPoly.one())
-    with pytest.raises(NotProportional):
-        scaling_iso(model, model.q_poly() * -3)
-    with pytest.raises(NotProportional):
-        scaling_iso(ConicModel((0, 1)), ConicModel((0, 2)).q_poly())
-    with pytest.raises(NotProportional):
-        scaling_iso(model, RatPoly.zero())
+    assert model.q_at(Fraction(1, 2)) == Fraction(1, 4)
+    assert model.q_at(2) == -2
 
 
 # -- component index -----------------------------------------------------------
@@ -215,10 +139,12 @@ def test_component_index_rejects_off_surface():
 # -- marked models and topology types ------------------------------------------
 
 def test_marked_homeo_types():
-    assert marked_homeo_types(marked((0, 1, 2, 3))) == ("S2", "S2")
-    assert marked_homeo_types(marked((0, 1, 2, 3), (0,))) == ("N1", "S2")
-    assert marked_homeo_types(marked((0, 1, 2, 3, 4, 5), (0, 1))) == ("N2", "S2", "S2")
-    assert marked_homeo_types(marked((0, 1, 2, 3, 4, 5), (0, 1, 2))) == ("N2", "N1", "S2")
+    def types(m):
+        return homeo_types_from_counts(m.mark_counts())
+    assert types(marked((0, 1, 2, 3))) == ("S2", "S2")
+    assert types(marked((0, 1, 2, 3), (0,))) == ("N1", "S2")
+    assert types(marked((0, 1, 2, 3, 4, 5), (0, 1))) == ("N2", "S2", "S2")
+    assert types(marked((0, 1, 2, 3, 4, 5), (0, 1, 2))) == ("N2", "N1", "S2")
 
 
 def test_marked_model_rejects_duplicate_marks():
@@ -309,7 +235,7 @@ def test_decide_marked_iso_needs_swap():
 def test_decide_marked_iso_generic_r3_transposition_blocked():
     rng = random.Random(91)
     config = support.random_config(rng, 3)
-    model = model_from_config(config)
+    model = support.config_model(config)
     a, b = model.roots[0], model.roots[2]
     m1 = MarkedModel(model, (SurfPoint(a, 0, 0),))
     m2 = MarkedModel(model, (SurfPoint(b, 0, 0),))

@@ -214,9 +214,9 @@ def test_constructor_roundtrip_random():
 
 def test_image_invariant_under_positive_scaling():
     model = unit_interval_model()
-    scaled = BiconicModel(model.m1.scaled(Fraction(3, 7)),
-                          model.m2.scaled(Fraction(3, 7)),
-                          model.m3.scaled(Fraction(3, 7)), model.k)
+    k = Fraction(3, 7)
+    scaled = BiconicModel(*(BinQuadForm(k * f.al, k * f.be, k * f.ga) for f in model.forms),
+                          model.k)
     assert biconic_interval_image(scaled) == biconic_interval_image(model)
 
 
@@ -428,8 +428,8 @@ def test_geiser_vieta_matches_the_branch_reference():
 def test_bipoint_json_roundtrip():
     p = BiPoint((3, 0, 1), ProjPoint(1, 2))
     assert cli._bipoint(p.as_json(), "point") == p
-    model = unit_interval_model()
-    assert cli._biconic(model.as_json(), "model") == model
+    model = {"m1": ["-1", "1", "0"], "m2": ["-1", "0", "-1"], "m3": ["-1", "0", "-2"], "k": 1}
+    assert cli._biconic(model, "model") == unit_interval_model()
 
 
 # -- second fibration -------------------------------------------------------------

@@ -73,7 +73,7 @@ def test_class_counts_match_brute_force(m, count):
     assert len(ours) == count
     assert set(ours) == set(brute)
     # no class sits on the search bound, so the bound is safe
-    assert all(abs(v.d) <= 3 and all(abs(c) <= 2 for c in v.coords[1:]) for v in brute)
+    assert all(abs(v.coords[0]) <= 3 and all(abs(c) <= 2 for c in v.coords[1:]) for v in brute)
 
 
 def test_exceptional_classes_range_check():
@@ -141,13 +141,17 @@ def test_reflection_swaps_fiber_partners():
 def test_sigma_and_alpha_cycle_listing():
     names = deg4_class_names()
     sigma, alpha = deg4_sigma(), deg4_alpha()
-    assert sigma.image_of(names["E2"]) == names["L12"]
-    assert sigma.image_of(names["L12"]) == names["E2"]
-    assert sigma.image_of(names["E1"]) == names["G"]
-    assert sigma.image_of(names["L23"]) == names["L45"]
-    assert alpha.image_of(names["E1"]) == names["E5"]
-    assert alpha.image_of(names["L23"]) == names["E4"]
-    assert alpha.image_of(names["G"]) == names["L15"]
+
+    def image(perm, name):
+        return perm.classes[perm.mapping[perm.classes.index(names[name])]]
+
+    assert image(sigma, "E2") == names["L12"]
+    assert image(sigma, "L12") == names["E2"]
+    assert image(sigma, "E1") == names["G"]
+    assert image(sigma, "L23") == names["L45"]
+    assert image(alpha, "E1") == names["E5"]
+    assert image(alpha, "L23") == names["E4"]
+    assert image(alpha, "G") == names["L15"]
 
 
 def test_sigma_alpha_involutions_without_fixed_classes():
