@@ -60,14 +60,6 @@ class BinQuadForm:
         object.__setattr__(self, "be", be)
         object.__setattr__(self, "ga", ga)
 
-    def evaluate(self, a: Rat, b: Rat) -> Rat:
-        a, b = Fraction(a), Fraction(b)
-        return self.al * a * a + self.be * a * b + self.ga * b * b
-
-    def at_point(self, t: ProjPoint) -> Rat:
-        """Value on the normalized integer representative (sign-meaningful)."""
-        return self.evaluate(t.u0, t.u1)
-
     @property
     def disc(self) -> Rat:
         return self.be * self.be - 4 * self.al * self.ga
@@ -103,7 +95,11 @@ def resultant(f: BinQuadForm, g: BinQuadForm) -> Rat:
 @dataclass(frozen=True)
 class BiconicModel:
     """Forms (m1, m2, m3) with m1*m2*m3 squarefree of degree 6, plus the
-    declared number k of genuine intervals in the real image."""
+    declared number k of genuine intervals in the real image.
+
+    Every evaluation runs on the nine coefficients cleared to integers by one
+    positive lcm, kept as three (al, be, ga) triples: a common positive
+    factor changes neither the surface nor the sign of any form."""
 
     m1: BinQuadForm
     m2: BinQuadForm
@@ -121,13 +117,17 @@ class BiconicModel:
             for j in range(i + 1, 3):
                 if resultant(forms[i], forms[j]) == 0:
                     raise InvalidModel("two forms share a root")
+        ints = clear_denominators([c for f in forms for c in (f.al, f.be, f.ga)])
+        object.__setattr__(self, "_coeffs", (ints[0:3], ints[3:6], ints[6:9]))
 
     @property
     def forms(self) -> tuple:
         return (self.m1, self.m2, self.m3)
 
     def values_at(self, t: ProjPoint) -> tuple:
-        return tuple(f.at_point(t) for f in self.forms)
+        """The cleared forms on the integer representative of t."""
+        aa, ab, bb = t.u0 * t.u0, t.u0 * t.u1, t.u1 * t.u1
+        return tuple([al * aa + be * ab + ga * bb for al, be, ga in self._coeffs])
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def biconic_from_config(config: IntervalConfig) -> BiconicModel:
     forms = [_interval_form(arc) for arc in config.intervals]
     supply = 1
     while len(forms) < 3:
-        candidate = BinQuadForm(Fraction(-1), Fraction(0), Fraction(-supply))
+        candidate = BinQuadForm(-1, 0, -supply)
         supply += 1
         if candidate.disc == 0:
             continue
@@ -224,13 +224,10 @@ def biconic_interval_image(model: BiconicModel) -> IntervalConfig:
                                 for i, j in zip(flips, flips[1:] + flips[:1]) if gap_in_image[i]))
 
 
-def _fiber_quadratic(model: BiconicModel, xyz) -> Tuple[Rat, Rat, Rat]:
+def _fiber_quadratic(model: BiconicModel, xyz) -> Tuple[int, int, int]:
     x, y, z = xyz
     x2, y2, z2 = x * x, y * y, z * z
-    a = x2 * model.m1.al + y2 * model.m2.al + z2 * model.m3.al
-    b = x2 * model.m1.be + y2 * model.m2.be + z2 * model.m3.be
-    c = x2 * model.m1.ga + y2 * model.m2.ga + z2 * model.m3.ga
-    return a, b, c
+    return tuple([x2 * u + y2 * v + z2 * w for u, v, w in zip(*model._coeffs)])
 
 
 def geiser(model: BiconicModel, p: BiPoint) -> BiPoint:
@@ -252,7 +249,7 @@ def geiser(model: BiconicModel, p: BiPoint) -> BiPoint:
     image = ((c_coef - a_coef) * a0 - b_coef * b0, (a_coef - c_coef) * b0 - b_coef * a0)
     if image == (0, 0):
         raise Unsupported("fiber quadratic vanishes identically over this point")
-    return BiPoint(p.xyz, ProjPoint(*clear_denominators(image)))
+    return BiPoint(p.xyz, ProjPoint(*image))
 
 
 def second_fibration(model: BiconicModel, p: BiPoint) -> ProjPoint:
@@ -282,7 +279,7 @@ def fiber_points(model: BiconicModel, t: ProjPoint, want: int = 6) -> list:
     """Rational points of the conic fiber over t, via one found point and
     the line parametrization through it."""
     # c and -c define the same conic, and BiPoint normalizes the sign.
-    c1, c2, c3 = primitive(*clear_denominators(model.values_at(t)))
+    c1, c2, c3 = primitive(*model.values_at(t))
     base = _conic_point(c1, c2, c3)
     if base is None:
         return []

@@ -12,7 +12,9 @@ The pairwise disjointness check and the gap-run walk are the references for
 the boundary walk that IntervalConfig and biconic_interval_image share, and
 the polyline merge is the reference for the planner's corners.  The
 Geiser reference divides the known root out of the fiber quadratic, branch by
-branch on which coordinate of that root is zero.
+branch on which coordinate of that root is zero; it and the image reference
+evaluate the biconic forms in Fractions, form by form, where the library
+evaluates cleared integer coefficients.
 """
 
 import heapq
@@ -36,7 +38,7 @@ from conicbundle import (
     parse_rat,
     validate_path,
 )
-from conicbundle.delpezzo import BiPoint, _fiber_quadratic, on_biconic
+from conicbundle.delpezzo import BiPoint
 from conicbundle.errors import (
     DuplicateNode,
     ImageIsWholeLine,
@@ -464,6 +466,23 @@ def reference_interval_config(arcs):
     return tuple(sorted(arcs, key=lambda arc: min(_walk_key(arc.start), _walk_key(arc.end))))
 
 
+def reference_values_at(model, t):
+    """(m1, m2, m3) on the integer representative of t, in Fractions."""
+    a, b = Fraction(t.u0), Fraction(t.u1)
+    return tuple(f.al * a * a + f.be * a * b + f.ga * b * b for f in model.forms)
+
+
+def reference_fiber_quadratic(model, xyz):
+    """The surface equation over the plane point xyz as a binary quadratic
+    A a^2 + B ab + C b^2 with Fraction coefficients."""
+    x, y, z = xyz
+    x2, y2, z2 = x * x, y * y, z * z
+    a = x2 * model.m1.al + y2 * model.m2.al + z2 * model.m3.al
+    b = x2 * model.m1.be + y2 * model.m2.be + z2 * model.m3.be
+    c = x2 * model.m1.ga + y2 * model.m2.ga + z2 * model.m3.ga
+    return a, b, c
+
+
 def reference_biconic_interval_image(model):
     """biconic_interval_image by a walk over the gaps from the first gap
     outside the image, keeping the start of the current run of in-image
@@ -474,7 +493,7 @@ def reference_biconic_interval_image(model):
             if root not in roots:
                 roots.append(root)
     if not roots:
-        sample = model.values_at(ProjPoint(0, 1))
+        sample = reference_values_at(model, ProjPoint(0, 1))
         if all(v > 0 for v in sample) or all(v < 0 for v in sample):
             return IntervalConfig(())
         raise ImageIsWholeLine("every parameter carries real points")
@@ -488,7 +507,7 @@ def reference_biconic_interval_image(model):
             probe = ProjPoint(0, 1)
         else:
             probe = ProjPoint.from_rat(roots[0].to_rat() + 1)
-        values = model.values_at(probe)
+        values = reference_values_at(model, probe)
         gap_in_image.append(not (all(v > 0 for v in values) or all(v < 0 for v in values)))
     if all(gap_in_image):
         raise ImageIsWholeLine("every parameter carries real points")
@@ -611,9 +630,11 @@ def reference_find_rect_path(region, start, end, forbidden_x=(), forbidden_y=())
 def reference_geiser(model, p):
     """The second root of the fiber quadratic over p.xyz, by dividing out the
     known root p.t = (a0 : b0) with a branch on which coordinate is zero."""
-    if not on_biconic(model, p):
+    x, y, z = p.xyz
+    v1, v2, v3 = reference_values_at(model, p.t)
+    if x * x * v1 + y * y * v2 + z * z * v3 != 0:
         raise NotOnSurface(f"{p.xyz} over {p.t} is not on the surface")
-    a_coef, b_coef, c_coef = _fiber_quadratic(model, p.xyz)
+    a_coef, b_coef, c_coef = reference_fiber_quadratic(model, p.xyz)
     a0, b0 = p.t.u0, p.t.u1
     # A a^2 + B ab + C b^2 = (b0 a - a0 b)(pp a - qq b)
     if b0 != 0:

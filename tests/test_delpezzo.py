@@ -24,7 +24,7 @@ from conicbundle import (
     second_fibration,
 )
 from conicbundle import cli
-from conicbundle.delpezzo import _CONIC_BOUND, _conic_point, resultant
+from conicbundle.delpezzo import _CONIC_BOUND, _conic_point, _fiber_quadratic, resultant
 from conicbundle.projline import _legendre, clear_denominators, primitive
 from conicbundle.errors import (
     ImageIsWholeLine,
@@ -101,14 +101,14 @@ def test_resultant_matches_sylvester_determinant(f, g):
 def test_resultant_vanishes_on_a_shared_root(f, a, b):
     # g = (b x - a y)^2 has the single root (a : b)
     g = BinQuadForm(b * b, -2 * a * b, a * a)
-    shares = f.evaluate(a, b) == 0
+    shares = f.al * a * a + f.be * a * b + f.ga * b * b == 0
     assert (resultant(f, g) == 0) == shares
 
 
 def reference_fiber_points(model, t, want):
     # fiber_points as it was when it chose the pencil's two axes as the first
     # pair, in index order, whose determinant with the base point is nonzero.
-    c1, c2, c3 = primitive(*clear_denominators(model.values_at(t)))
+    c1, c2, c3 = primitive(*clear_denominators(support.reference_values_at(model, t)))
     base = _conic_point(c1, c2, c3)
     if base is None:
         return []
@@ -210,14 +210,6 @@ def test_constructor_roundtrip_random():
                       else support.random_config(rng, k, low=-30, high=30))
             model = biconic_from_config(config)
             assert biconic_interval_image(model) == config
-
-
-def test_image_invariant_under_positive_scaling():
-    model = unit_interval_model()
-    k = Fraction(3, 7)
-    scaled = BiconicModel(*(BinQuadForm(k * f.al, k * f.be, k * f.ga) for f in model.forms),
-                          model.k)
-    assert biconic_interval_image(scaled) == biconic_interval_image(model)
 
 
 def test_image_wrapping_through_infinity():
@@ -423,6 +415,59 @@ def test_geiser_vieta_matches_the_branch_reference():
         seen["zero"] += p.t == ProjPoint(0, 1)
         seen["fixed"] += image == p.t
     assert min(seen.values()) >= 100, seen
+
+
+def _scaled(model, factor):
+    return BiconicModel(*(BinQuadForm(factor * f.al, factor * f.be, factor * f.ga)
+                          for f in model.forms), model.k)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ImageIsWholeLine, IrrationalBoundary, NotOnSurface, Unsupported) as exc:
+        return type(exc)
+
+
+def test_a_common_factor_changes_nothing():
+    # The same surface written with all nine coefficients times a common
+    # factor, positive or negative, with or without a denominator.
+    rng = random.Random(8)
+    ts = (ProjPoint(0, 1), ProjPoint(1, 0), ProjPoint(1, 3), ProjPoint(-2, 1))
+    cases = [(unit_interval_model(), BiPoint((3, 0, 1), ProjPoint(1, 2)))]
+    cases += [(biconic_from_config(support.random_config(rng, k, low=-12, high=12)), None)
+              for k in (1, 2, 3) for _ in range(5)]
+    while len(cases) < 160:
+        case = _geiser_case(rng)
+        if case is not None:
+            cases.append(case[:2])
+    seen = Counter()
+    for model, p in cases:
+        points = [p, BiPoint(p.xyz, ProjPoint(p.t.u0 + 1, p.t.u1))] if p else []
+        fibers = {t: fiber_points(model, t) for t in ts}
+        points += [q for pts in fibers.values() for q in pts[:2]]
+        image = _outcome(biconic_interval_image, model)
+        geisers = [_outcome(geiser, model, q) for q in points]
+        for factor in (Fraction(3, 7), -2, Fraction(5, 12), Fraction(-1, 9)):
+            scaled = _scaled(model, factor)
+            assert _outcome(biconic_interval_image, scaled) == image
+            assert [_outcome(geiser, scaled, q) for q in points] == geisers
+            assert [on_biconic(scaled, q) for q in points] == [on_biconic(model, q)
+                                                               for q in points]
+            assert {t: fiber_points(scaled, t) for t in ts} == fibers
+        seen[image if isinstance(image, type) else "image"] += 1
+        seen.update(g if isinstance(g, type) else "geiser" for g in geisers)
+        seen["fiber points"] += sum(map(len, fibers.values()))
+    assert all(seen[k] for k in ("image", ImageIsWholeLine, IrrationalBoundary, "geiser",
+                                 NotOnSurface, Unsupported, "fiber points")), seen
+
+
+def test_the_biconic_layer_evaluates_integers():
+    model = _scaled(unit_interval_model(), Fraction(3, 7))
+    assert model.m1.al == Fraction(-3, 7)
+    for values in (model.values_at(ProjPoint(1, 2)), model.values_at(ProjPoint(2, 3)),
+                   _fiber_quadratic(model, (3, 0, 1)), _fiber_quadratic(model, (1, 2, 3))):
+        assert all(type(v) is int for v in values), values
 
 
 def test_bipoint_json_roundtrip():
