@@ -10,6 +10,7 @@ the second conic bundle structure.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -86,7 +87,13 @@ class BinQuadForm:
         return [ProjPoint.from_rat(first), ProjPoint.from_rat(second)]
 
 
-def resultant(f: BinQuadForm, g: BinQuadForm) -> Rat:
+class _IntForm(namedtuple("_IntForm", "al be ga")):
+    """A form's coefficients cleared to integers, with the same disc."""
+
+    disc = BinQuadForm.disc
+
+
+def resultant(f, g) -> Rat:
     """Sylvester resultant; zero exactly when the forms share a root."""
     return ((f.al * g.ga - g.al * f.ga) ** 2
             - (f.al * g.be - g.al * f.be) * (f.be * g.ga - g.be * f.ga))
@@ -97,9 +104,10 @@ class BiconicModel:
     """Forms (m1, m2, m3) with m1*m2*m3 squarefree of degree 6, plus the
     declared number k of genuine intervals in the real image.
 
-    Every evaluation runs on the nine coefficients cleared to integers by one
-    positive lcm, kept as three (al, be, ga) triples: a common positive
-    factor changes neither the surface nor the sign of any form."""
+    Every check and evaluation runs on the nine coefficients cleared to
+    integers by one positive lcm, kept as three (al, be, ga) triples: a
+    common positive factor changes neither the surface, nor the sign of any
+    form, nor which discriminants and resultants vanish."""
 
     m1: BinQuadForm
     m2: BinQuadForm
@@ -109,7 +117,8 @@ class BiconicModel:
     def __post_init__(self):
         if not 0 <= self.k <= 3:
             raise InvalidModel("k must lie between 0 and 3")
-        forms = (self.m1, self.m2, self.m3)
+        ints = clear_denominators([c for f in self.forms for c in (f.al, f.be, f.ga)])
+        forms = tuple(_IntForm(*ints[i:i + 3]) for i in (0, 3, 6))
         for f in forms:
             if f.disc == 0:
                 raise InvalidModel("a form has a double root")
@@ -117,8 +126,7 @@ class BiconicModel:
             for j in range(i + 1, 3):
                 if resultant(forms[i], forms[j]) == 0:
                     raise InvalidModel("two forms share a root")
-        ints = clear_denominators([c for f in forms for c in (f.al, f.be, f.ga)])
-        object.__setattr__(self, "_coeffs", (ints[0:3], ints[3:6], ints[6:9]))
+        object.__setattr__(self, "_coeffs", forms)
 
     @property
     def forms(self) -> tuple:

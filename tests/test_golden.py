@@ -20,7 +20,7 @@ import support
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
-def replay(argv, stdin):
+def replay(argv, stdin, run=run):
     saved = sys.stdin, sys.stdout, sys.stderr
     out = io.StringIO()
     sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), out, io.StringIO()

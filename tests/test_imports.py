@@ -1,0 +1,111 @@
+"""What each way of loading the CLI imports.
+
+A CLI process (`python -m conicbundle.cli`, run here through runpy as
+__main__) loads only the library modules of its subcommand; importing
+conicbundle.cli binds every layer; importing the package loads none.  A
+caller that purges `conicbundle*` from sys.modules and re-imports, as the
+benchmark's set-up does, keeps a working first copy of the CLI.
+"""
+
+import importlib
+import json
+import sys
+import types
+
+import conicbundle
+import support
+from test_golden import WORKLOADS, load, replay
+
+ALWAYS = {"conicbundle", "conicbundle.errors", "conicbundle.projline"}
+LAYERS = {f"conicbundle.{m}" for m in ("conic_model", "delpezzo", "lattice", "planner",
+                                       "polynomial", "twist")}
+TWIST = {"conicbundle.conic_model", "conicbundle.polynomial", "conicbundle.twist"}
+# the conicbundle modules a fresh CLI process has loaded after one request
+LOADED = {
+    "realizable-perms": ALWAYS,
+    "stabilizer": ALWAYS,
+    "decide-birational": ALWAYS | {"conicbundle.conic_model"},
+    "decide-iso": ALWAYS | {"conicbundle.conic_model"},
+    "decide-verytransitive": ALWAYS | {"conicbundle.conic_model"},
+    "geiser": ALWAYS | {"conicbundle.delpezzo"},
+    "biconic-image": ALWAYS | {"conicbundle.delpezzo"},
+    "lattice": ALWAYS | {"conicbundle.lattice"},
+    "region-path": ALWAYS | {"conicbundle.planner"},
+    "twist": ALWAYS | TWIST,
+    "verify-twist": ALWAYS | TWIST,
+    "selftest": ALWAYS | LAYERS,
+}
+
+# Runs the statement `run` in a fresh interpreter, then writes the names of
+# the loaded conicbundle modules to stderr, which a golden request leaves empty.
+FRESH = """
+import json, sys
+try:
+    {run}
+finally:
+    sys.stderr.write(json.dumps(sorted(
+        n for n in sys.modules if n.partition(".")[0] == "conicbundle")))
+"""
+
+
+def fresh(run, argv=(), stdin=None):
+    """(exit code, stdout, loaded conicbundle modules) of a fresh interpreter."""
+    proc = support.run_python("-c", FRESH.format(run=run), *argv, stdin=stdin)
+    return proc.returncode, proc.stdout, set(json.loads(proc.stderr))
+
+
+def one_request_per_subcommand():
+    """The first golden request of each subcommand, in corpus order."""
+    first = {}
+    for workload in WORKLOADS:
+        for entry in load(workload):
+            first.setdefault(entry["argv"][0], entry)
+    assert set(first) == set(LOADED)
+    return list(first.values())
+
+
+def test_a_cli_process_loads_only_its_subcommand_layers():
+    for entry in one_request_per_subcommand():
+        code, out, loaded = fresh(
+            'import runpy; runpy.run_module("conicbundle.cli", run_name="__main__")',
+            entry["argv"], entry["stdin"])
+        name = entry["argv"][0]
+        assert (code, out) == (entry["exit"], entry["stdout"]), name
+        assert loaded == LOADED[name], name
+
+
+def test_importing_the_cli_binds_every_layer():
+    assert fresh("import conicbundle.cli")[2] == ALWAYS | LAYERS | {"conicbundle.cli"}
+    cli = importlib.import_module("conicbundle.cli")
+    for alias in ("cm", "dp", "lat", "pl", "poly", "pj", "tw", "random"):
+        assert isinstance(getattr(cli, alias), types.ModuleType), alias
+
+
+def test_importing_the_package_loads_no_module():
+    assert fresh("import conicbundle")[2] == {"conicbundle"}
+
+
+def test_the_package_exports_stay_importable():
+    for name in conicbundle.__all__:
+        module = importlib.import_module(f"conicbundle.{conicbundle._MODULE_OF[name]}")
+        assert getattr(conicbundle, name) is getattr(module, name), name
+    assert conicbundle.__version__ == "0.1.0"
+
+
+def test_the_first_cli_survives_a_purge_and_reimport():
+    # perfbench's set_up deletes every conicbundle module and re-imports
+    # between loop parts, while the loop keeps calling its first cli
+    requests = one_request_per_subcommand()
+    golden = [(e["exit"], e["stdout"]) for e in requests]
+    cli = importlib.import_module("conicbundle.cli")
+    assert [replay(e["argv"], e["stdin"], cli.run) for e in requests] == golden
+    saved = {n: m for n, m in sys.modules.items() if n.partition(".")[0] == "conicbundle"}
+    try:
+        for name in saved:
+            del sys.modules[name]
+        assert importlib.import_module("conicbundle.cli") is not cli
+        assert [replay(e["argv"], e["stdin"], cli.run) for e in requests] == golden
+    finally:
+        for name in [n for n in sys.modules if n.partition(".")[0] == "conicbundle"]:
+            del sys.modules[name]
+        sys.modules.update(saved)

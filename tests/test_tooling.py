@@ -1,8 +1,14 @@
-"""The test configuration itself: a failing test must not end the session."""
+"""The project configuration itself: a failing test must not end the
+session, and the console script loads only its subcommand's layers."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from test_golden import load
+from test_imports import ALWAYS, fresh
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -32,3 +38,16 @@ def test_a_failing_given_test_does_not_abort_the_session(tmp_path):
     output = result.stdout + result.stderr
     assert "INTERNALERROR" not in output, output
     assert "1 failed, 1 passed" in output, output
+
+
+def test_the_console_script_loads_only_its_subcommand_layers():
+    tomllib = pytest.importorskip("tomllib")
+    target = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]["conicbundle"]
+    module, function = target.split(":")
+    entry = next(e for e in load("decide") if e["argv"][0] == "lattice")
+    # what the generated script does, with the command's name as argv[0]
+    code, out, loaded = fresh(
+        f"sys.argv[0] = 'conicbundle'; from {module} import {function}; sys.exit({function}())",
+        entry["argv"], entry["stdin"])
+    assert (code, out) == (entry["exit"], entry["stdout"])
+    assert loaded == ALWAYS | {"conicbundle.lattice", module}
