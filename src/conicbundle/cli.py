@@ -54,10 +54,25 @@ def _dump(obj) -> str:
 # such as model1.marks[0].y.  The library constructors check the invariants.
 
 
+class _LongInt:
+    """A JSON integer literal past sys.get_int_max_str_digits(): no decoder accepts it."""
+
+    def __repr__(self):
+        return "<integer literal past the digit limit>"
+
+    @staticmethod
+    def parse(text: str):
+        try:
+            return int(text)
+        except ValueError:
+            return _LongInt()
+
+
 def _int(value, path: str) -> int:
     # bool is a subclass of int, but true is not a number
     if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(path, "expected a JSON integer")
+        raise SchemaError(path, "integer literal past the digit limit"
+                          if isinstance(value, _LongInt) else "expected a JSON integer")
     return value
 
 
@@ -426,7 +441,12 @@ def run(argv) -> int:
             obj = _selftest(args.seed)
             code = 0 if obj["passed"] else 1
         else:
-            code, obj = _HANDLERS[args.command](json.loads(raw))
+            try:
+                request = json.loads(raw, parse_int=_LongInt.parse)
+            except RecursionError:  # no line or column is known
+                sys.stderr.write(_dump({"error": "malformed-json", "message": "nested too deeply"}))
+                return 2
+            code, obj = _HANDLERS[args.command](request)
     except json.JSONDecodeError as exc:
         sys.stderr.write(_dump({"error": "malformed-json", "line": exc.lineno,
                                 "column": exc.colno, "message": exc.msg}))

@@ -16,10 +16,8 @@ from typing import Optional
 
 from .errors import InvalidModel, NotOnSurface
 from .projline import (
-    Interval,
     IntervalConfig,
     Moebius,
-    ProjPoint,
     Rat,
     _equiv_candidates,
     config_equiv,
@@ -94,10 +92,7 @@ def on_surface(model: ConicModel, p: SurfPoint) -> bool:
 
 def interval_image(model: ConicModel) -> IntervalConfig:
     """The configuration of intervals [a_1, a_2], [a_3, a_4], ..."""
-    arcs = tuple(
-        Interval(ProjPoint.from_rat(model.roots[2 * i]), ProjPoint.from_rat(model.roots[2 * i + 1]))
-        for i in range(model.r))
-    return IntervalConfig(arcs)
+    return IntervalConfig.from_rat_pairs(zip(model.roots[::2], model.roots[1::2]))
 
 
 def component_index(model: ConicModel, p: SurfPoint) -> int:
@@ -151,13 +146,8 @@ def decide_marked_iso(m1: MarkedModel, m2: MarkedModel) -> Optional[tuple]:
     with a Moebius map sending interval i onto interval nu(i); the point
     level automorphism itself is not synthesized.
     """
-    if m1.model.r != m2.model.r:
-        return None
-    counts1 = m1.mark_counts()
-    counts2 = m2.mark_counts()
-    c1 = interval_image(m1.model)
-    c2 = interval_image(m2.model)
-    for witness, nu in _equiv_candidates(c1, c2):
+    counts1, counts2 = m1.mark_counts(), m2.mark_counts()
+    for witness, nu in _equiv_candidates(interval_image(m1.model), interval_image(m2.model)):
         if all(counts1[i] == counts2[nu[i]] for i in range(len(nu))):
             return nu, witness
     return None

@@ -14,7 +14,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import List, Optional, Tuple
+from math import isqrt
+from typing import Optional, Tuple
 
 from .errors import (
     ImageIsWholeLine,
@@ -41,7 +42,6 @@ from .projline import (
     ladder,
     moebius_from_triples,
     primitive,
-    rational_sqrt,
 )
 
 
@@ -64,27 +64,6 @@ class BinQuadForm:
     @property
     def disc(self) -> Rat:
         return self.be * self.be - 4 * self.al * self.ga
-
-    def rational_roots(self) -> List[ProjPoint]:
-        """Roots in P^1(Q); raises when real roots exist but are irrational."""
-        if self.al == 0:
-            # m = b (be*a + ga*b) vanishes at infinity, and at -ga/be when
-            # be != 0; be == 0 makes infinity a double root.
-            roots = [INF]
-            if self.be != 0:
-                roots.append(ProjPoint.from_rat(-self.ga / self.be))
-            return roots
-        d = self.disc
-        if d < 0:
-            return []
-        sq = rational_sqrt(d)
-        if sq is None:
-            raise IrrationalBoundary(f"form has irrational real roots (disc {d})")
-        first = (-self.be + sq) / (2 * self.al)
-        second = (-self.be - sq) / (2 * self.al)
-        if first == second:
-            return [ProjPoint.from_rat(first)]
-        return [ProjPoint.from_rat(first), ProjPoint.from_rat(second)]
 
 
 class _IntForm(namedtuple("_IntForm", "al be ga")):
@@ -177,16 +156,9 @@ def biconic_from_config(config: IntervalConfig) -> BiconicModel:
     for arc in config.intervals:
         if arc.contains(INF):
             raise MoveInfinityFirst(f"{arc} touches infinity; conjugate it away first")
+    # fillers -a^2 - s b^2: no real root, and distinct roots +-i sqrt(s)
     forms = [_interval_form(arc) for arc in config.intervals]
-    supply = 1
-    while len(forms) < 3:
-        candidate = BinQuadForm(-1, 0, -supply)
-        supply += 1
-        if candidate.disc == 0:
-            continue
-        if any(resultant(candidate, f) == 0 for f in forms):
-            continue
-        forms.append(candidate)
+    forms += [BinQuadForm(-1, 0, -s) for s in range(1, 4 - k)]
     model = BiconicModel(forms[0], forms[1], forms[2], k)
     if biconic_interval_image(model) != config:
         raise InvalidModel("constructed model does not reproduce the configuration")
@@ -197,32 +169,27 @@ def biconic_interval_image(model: BiconicModel) -> IntervalConfig:
     """Exact sign analysis of (m1, m2, m3) on the root partition of P^1(R).
 
     A parameter carries real points exactly when the three values do not all
-    share one strict sign.  One probe per gap between cyclically consecutive
-    roots says whether the gap lies in the image; the arcs are read off the
-    roots where that flips.  Boundaries must be rational to be representable.
+    share one strict sign.  The roots are read off the cleared coefficients,
+    none or two per form, as BiconicModel allows no double or shared root.
+    One probe per gap between cyclically consecutive roots (at 0 if none)
+    says whether the gap lies in the image; the arcs are read off the roots
+    where that flips.  Boundaries must be rational to be representable.
     """
     roots = []
-    for f in model.forms:
-        for root in f.rational_roots():
-            if root not in roots:
-                roots.append(root)
-    if not roots:
-        sample = model.values_at(ProjPoint(0, 1))
-        if all(v > 0 for v in sample) or all(v < 0 for v in sample):
-            return IntervalConfig(())
-        raise ImageIsWholeLine("every parameter carries real points")
+    for form, (al, be, ga) in zip(model.forms, model._coeffs):
+        d = be * be - 4 * al * ga
+        if al == 0:
+            roots += [INF, ProjPoint(-ga, be)]
+        elif d > 0:
+            sq = isqrt(d)
+            if sq * sq != d:
+                raise IrrationalBoundary(f"form has irrational real roots (disc {form.disc})")
+            roots += [ProjPoint(-be + sq, 2 * al), ProjPoint(-be - sq, 2 * al)]
     roots.sort(key=_walk_key)
     n = len(roots)
-    gap_in_image = []
-    for i in range(n):
-        if n > 1:
-            probe = Interval(roots[i], roots[(i + 1) % n]).interior_point()
-        elif roots[0].is_infinity:
-            probe = ProjPoint(0, 1)
-        else:
-            probe = ProjPoint.from_rat(roots[0].to_rat() + 1)
-        values = model.values_at(probe)
-        gap_in_image.append(not (all(v > 0 for v in values) or all(v < 0 for v in values)))
+    probes = [Interval(roots[i], roots[(i + 1) % n]).interior_point() for i in range(n)]
+    gap_in_image = [not (all(v > 0 for v in vs) or all(v < 0 for v in vs))
+                    for vs in map(model.values_at, probes or [ZERO])]
     if all(gap_in_image):
         raise ImageIsWholeLine("every parameter carries real points")
     # Root i lies between gaps i - 1 and i.  Where membership flips into the

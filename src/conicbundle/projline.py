@@ -91,17 +91,6 @@ def clear_denominators(values) -> tuple:
     return tuple([v.numerator * (m // v.denominator) for v in values])
 
 
-def rational_sqrt(value: Rat) -> Optional[Rat]:
-    """The non-negative rational square root, or None when there is none."""
-    if value < 0:
-        return None
-    n, d = value.numerator, value.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
 # Trial division runs to _TRIAL_BOUND; as 2155^3 > 10^10, a cofactor of
 # n <= 10^10 then has at most two prime factors.
 _TRIAL_BOUND = 2155
@@ -464,9 +453,8 @@ class IntervalConfig:
 
     @staticmethod
     def from_rat_pairs(pairs: Iterable) -> "IntervalConfig":
-        return IntervalConfig(tuple(
-            Interval(ProjPoint.from_rat(Fraction(s)), ProjPoint.from_rat(Fraction(e)))
-            for s, e in pairs))
+        return IntervalConfig(tuple(Interval(ProjPoint.from_rat(s), ProjPoint.from_rat(e))
+                                    for s, e in pairs))
 
     def __repr__(self):
         return "IntervalConfig(" + ", ".join(map(repr, self.intervals)) + ")"

@@ -13,8 +13,9 @@ the boundary walk that IntervalConfig and biconic_interval_image share, and
 the polyline merge is the reference for the planner's corners.  The
 Geiser reference divides the known root out of the fiber quadratic, branch by
 branch on which coordinate of that root is zero; it and the image reference
-evaluate the biconic forms in Fractions, form by form, where the library
-evaluates cleared integer coefficients.
+evaluate the biconic forms in Fractions, form by form, and the image
+reference finds each form's roots in Fractions, where the library reads both
+off cleared integer coefficients.
 """
 
 import heapq
@@ -22,6 +23,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import conicbundle
@@ -45,6 +47,7 @@ from conicbundle.errors import (
     InfiniteStabilizer,
     InvalidModel,
     InvalidTriple,
+    IrrationalBoundary,
     NotOnSurface,
     OnForbiddenLine,
     OutsideRegion,
@@ -483,13 +486,37 @@ def reference_fiber_quadratic(model, xyz):
     return a, b, c
 
 
+def reference_rational_roots(form):
+    """The roots of a BinQuadForm in P^1(Q), in Fractions; raises
+    IrrationalBoundary, quoting the form's own discriminant, when its real
+    roots are irrational."""
+    if form.al == 0:
+        # m = b (be*a + ga*b) vanishes at infinity, and at -ga/be when
+        # be != 0; be == 0 makes infinity a double root.
+        roots = [ProjPoint.infinity()]
+        if form.be != 0:
+            roots.append(ProjPoint.from_rat(-form.ga / form.be))
+        return roots
+    d = form.disc
+    if d < 0:
+        return []
+    rn, rd = isqrt(d.numerator), isqrt(d.denominator)
+    if rn * rn != d.numerator or rd * rd != d.denominator:
+        raise IrrationalBoundary(f"form has irrational real roots (disc {d})")
+    first = (-form.be + Fraction(rn, rd)) / (2 * form.al)
+    second = (-form.be - Fraction(rn, rd)) / (2 * form.al)
+    if first == second:
+        return [ProjPoint.from_rat(first)]
+    return [ProjPoint.from_rat(first), ProjPoint.from_rat(second)]
+
+
 def reference_biconic_interval_image(model):
     """biconic_interval_image by a walk over the gaps from the first gap
     outside the image, keeping the start of the current run of in-image
     gaps."""
     roots = []
     for f in model.forms:
-        for root in f.rational_roots():
+        for root in reference_rational_roots(f):
             if root not in roots:
                 roots.append(root)
     if not roots:

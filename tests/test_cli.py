@@ -228,6 +228,12 @@ def test_malformed_json_reports_position(capsys):
     assert "line" in report and "column" in report
 
 
+def test_json_nested_past_the_recursion_limit_is_malformed(capsys):
+    code, out, err = invoke(capsys, "lattice", "[" * 100000 + "]" * 100000)
+    assert code == 2 and out is None
+    assert json.loads(err) == {"error": "malformed-json", "message": "nested too deeply"}
+
+
 def test_schema_violation_names_field(capsys):
     code, out, err = invoke(capsys, "decide-birational", {"model1": {"roots": ["0", "1"]}})
     assert code == 2
@@ -274,6 +280,27 @@ PADDED = [
      "point.xyz[0]"),
 ]
 PADDED_IDS = ["padded-inf", "newline-xyz"]
+
+
+# JSON integer literals with more digits than int() converts
+# (sys.get_int_max_str_digits()), spliced in raw where a request says "LONG":
+# json.dumps cannot write them
+LONG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("lattice", {"m": "LONG"}, "m"),
+    ("biconic-image", {"model": dict(BICONIC, k="LONG")}, "model.k"),
+    ("stabilizer", {"points": ["LONG", "0", "1"]}, "points[0]"),
+    ("geiser", {"model": BICONIC, "point": {"xyz": ["LONG", "0", "1"], "t": ["1", "2"]}},
+     "point.xyz[0]"),
+], ids=["lattice-m", "biconic-k", "stabilizer-point", "geiser-xyz"])
+def test_json_integer_past_the_digit_limit_is_a_schema_error(capsys, command, payload, field):
+    code, out, err = invoke(capsys, command, json.dumps(payload).replace('"LONG"', LONG))
+    assert code == 2 and out is None
+    report = json.loads(err)
+    assert (report["error"], report["field"]) == ("schema", field), report
+    assert "digit limit" in report["message"] and len(report["message"]) < 100, report
 
 
 @pytest.mark.parametrize("command, payload", [

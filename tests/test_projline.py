@@ -42,7 +42,6 @@ from conicbundle.projline import (
     clear_denominators,
     interval_image,
     primitive,
-    rational_sqrt,
 )
 
 import support
@@ -115,17 +114,6 @@ def test_clear_denominators_keeps_ratios_and_signs(values):
     assert all(type(g) is int for g in got)
     assert [(g > 0) - (g < 0) for g in got] == [(v > 0) - (v < 0) for v in values]
     assert len({g / v for g, v in zip(got, values) if v}) <= 1
-
-
-@given(wide_rationals)
-def test_rational_sqrt_of_a_square(q):
-    assert rational_sqrt(q * q) == abs(q)
-
-
-@given(wide_rationals)
-def test_rational_sqrt_is_exact_or_none(q):
-    root = rational_sqrt(q)
-    assert root is None or (root >= 0 and root * root == q)
 
 
 # -- points ------------------------------------------------------------------
