@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 from . import projline as pj
-from .errors import ConicBundleError, ParseError, SchemaError
+from .errors import ConicBundleError, ParseError, SchemaError, quote
 
 
 class _OnFirstUse:
@@ -80,7 +80,7 @@ def _int_token(value, path: str) -> int:
     # a rational token without denominator: ASCII digits, no "_" or "+"
     m = pj._RAT_RE.fullmatch(value) if isinstance(value, str) else None
     if m is None or m.group(2) is not None:
-        raise SchemaError(path, f"not an integer token: {value!r}")
+        raise SchemaError(path, f"not an integer token: {quote(value)}")
     return _rat(value, path).numerator
 
 

@@ -1,5 +1,17 @@
 """Exception types shared across the library."""
 
+_QUOTE_WHOLE = 40  # longest repr that an error message quotes whole
+
+
+def quote(value) -> str:
+    """repr(value) for an error message: whole when short, else its first
+    and last few characters and its length, so the message stays short."""
+    text = repr(value)
+    if len(text) <= _QUOTE_WHOLE:
+        return text
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:16]}...{text[-16:]} ({size} characters)"
+
 
 class ConicBundleError(Exception):
     """Base class for every error raised by this library."""

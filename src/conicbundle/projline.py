@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Optional
 
-from .errors import InfiniteStabilizer, InvalidModel, InvalidTriple, ParseError
+from .errors import InfiniteStabilizer, InvalidModel, InvalidTriple, ParseError, quote
 
 Rat = Fraction
 
@@ -28,20 +28,20 @@ _RAT_RE = re.compile(r"(-?\d+)(?:/(-?\d+))?", re.ASCII)
 def parse_rat(token: str) -> Rat:
     """Parse a canonical rational token "p" or "p/q" (q positive, coprime)."""
     if not isinstance(token, str):
-        raise ParseError(f"not a rational token: {token!r}")
+        raise ParseError(f"not a rational token: {quote(token)}")
     m = _RAT_RE.fullmatch(token)
     if m is None:
-        raise ParseError(f"not a rational token: {token!r}")
+        raise ParseError(f"not a rational token: {quote(token)}")
     num = int(m.group(1))
     if m.group(2) is None:
         return Fraction(num)
     den = int(m.group(2))
     if den == 0:
-        raise ParseError(f"zero denominator in token: {token!r}")
+        raise ParseError(f"zero denominator in token: {quote(token)}")
     if den < 0:
-        raise ParseError(f"negative denominator in token: {token!r}")
+        raise ParseError(f"negative denominator in token: {quote(token)}")
     if gcd(abs(num), den) != 1:
-        raise ParseError(f"non-coprime rational token: {token!r}")
+        raise ParseError(f"non-coprime rational token: {quote(token)}")
     return Fraction(num, den)
 
 

@@ -29,7 +29,7 @@ from .errors import (
     SingularFiberTarget,
 )
 from .polynomial import RatPoly, solve_linear
-from .projline import Rat, _legendre, format_rat, ladder
+from .projline import Rat, _factor, format_rat, ladder
 
 
 @dataclass(frozen=True)
@@ -300,15 +300,37 @@ _CIRCLE_BOUND = 10 ** 10  # largest num * den of rho the circle search tries
 
 
 def _circle_solution(num: int, den: int) -> Optional[Tuple[int, int]]:
-    # Integers (s, t) with s^2 + t^2 = num * den, i.e. the point (s/den, t/den)
-    # on y^2 + z^2 = num/den (lowest terms, den > 0), if the bounded search
-    # finds one; there is one exactly when n = num * den is a sum of two
-    # integer squares.
+    # The least s, with its t, such that s^2 + t^2 = num * den and
+    # 0 <= s <= t: the point (s/den, t/den) on y^2 + z^2 = num/den (lowest
+    # terms, den > 0), or None when n = num * den is past the bound or not a
+    # sum of two integer squares.
     if num <= 0:
         return (0, 0) if num == 0 else None
     n = num * den
-    if n > _CIRCLE_BOUND or _legendre(1, 1, -n) is False:
+    if n > _CIRCLE_BOUND:
         return None
+    factors = _factor(n)
+    if factors is None:
+        return _circle_scan(n)
+    # Every z = x + iy with x^2 + y^2 = n is, up to a unit, the product of
+    # (1 + i)^e for p = 2, of q^(e/2) for each q = 3 mod 4 (odd e: no z at
+    # all) and of pi^k conj(pi)^(e - k), 0 <= k <= e, for each p = 1 mod 4.
+    base, zs = (1, 0), [(1, 0)]
+    for p, e in factors.items():
+        if p % 4 == 3:
+            if e % 2:
+                return None
+            base = (base[0] * p ** (e // 2), base[1] * p ** (e // 2))
+        elif p == 2:
+            for _ in range(e):
+                base = (base[0] - base[1], base[0] + base[1])
+        else:
+            zs = [_gauss_mul(z, w) for z in zs for w in _gauss_splits(p, e)]
+    s = min(min(abs(a), abs(b)) for a, b in (_gauss_mul(base, z) for z in zs))
+    return s, isqrt(n - s * s)
+
+
+def _circle_scan(n: int) -> Optional[Tuple[int, int]]:
     # The first hit has s <= t, else (t, s) came first; so s^2 <= n / 2.
     for s in range(isqrt(n // 2) + 1):
         rest = n - s * s
@@ -316,6 +338,27 @@ def _circle_solution(num: int, den: int) -> Optional[Tuple[int, int]]:
         if t * t == rest:
             return s, t
     return None
+
+
+def _gauss_mul(z: Tuple[int, int], w: Tuple[int, int]) -> Tuple[int, int]:
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+
+def _gauss_splits(p: int, e: int) -> list:
+    # pi^k conj(pi)^(e - k) for k = 0..e, where p = pi conj(pi) with
+    # pi = u + vi (Hermite-Serret: in Euclid's algorithm on p and a square
+    # root of -1 mod p, the first two remainders below sqrt(p) are u and v).
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    a, b = p, pow(c, (p - 1) // 4, p)
+    while b * b > p:
+        a, b = b, a % b
+    pi = (b, a % b)
+    powers = [(1, 0)]
+    for _ in range(e):
+        powers.append(_gauss_mul(powers[-1], pi))
+    return [_gauss_mul(powers[k], (powers[e - k][0], -powers[e - k][1])) for k in range(e + 1)]
 
 
 def find_fiber_point(model: ConicModel, x: Rat) -> Optional[SurfPoint]:
@@ -336,10 +379,16 @@ def find_fiber_point(model: ConicModel, x: Rat) -> Optional[SurfPoint]:
 def ladder_fibers(model: ConicModel, lo: Rat, hi: Rat) -> Iterator[SurfPoint]:
     """The first rational fiber point on each rung of ladder(lo, hi); for
     consecutive roots lo < hi each lies on a circle, as Q > 0 between them.
-    Two rungs can share a fiber (2/4 = 1/2)."""
+    Two rungs can share a fiber (2/4 = 1/2): the walk searches it once, and
+    yields its point again on every rung it comes first."""
+    searched = {}  # (num, den) of x -> the search's outcome
     for rung in ladder(lo, hi):
         for x in rung:
-            p = find_fiber_point(model, x)
+            key = x.as_integer_ratio()
+            if key in searched:
+                p = searched[key]
+            else:
+                p = searched[key] = find_fiber_point(model, x)
             if p is not None:
                 yield p
                 break
@@ -374,16 +423,22 @@ def verify_twist(model: ConicModel, twist: TwistMap) -> TwistReport:
 
     The base rotation R0 is on the unit circle by construction (`Rotation`
     rejects any other), and psi(lambda(x)) is a rotation for every lambda,
-    so neither needs a check here.
+    so neither needs a check here.  Q(x) and both rotations are computed
+    once per distinct sampled fiber; every sampled point is still checked.
     """
     failures = []
     inv = inverse_twist(twist)
     points = sample_surface_points(model)
+    fibers = {}  # (num, den) of x -> (Q(x), rotation, inverse rotation)
     for p in points:
-        y, z = twist.fiber_rotation(p.x).apply(p.y, p.z)
-        if not on_surface(model, SurfPoint(p.x, y, z)):
+        key = p.x.as_integer_ratio()
+        if key not in fibers:
+            fibers[key] = (model.q_at(p.x), twist.fiber_rotation(p.x), inv.fiber_rotation(p.x))
+        rho, rot, back = fibers[key]
+        y, z = rot.apply(p.y, p.z)
+        if y * y + z * z != rho:
             failures.append(f"membership broken over x = {p.x}")
             continue
-        if inv.fiber_rotation(p.x).apply(y, z) != (p.y, p.z):
+        if back.apply(y, z) != (p.y, p.z):
             failures.append(f"inverse does not undo the twist over x = {p.x}")
     return TwistReport(not failures, tuple(failures), len(points))

@@ -303,6 +303,20 @@ def test_json_integer_past_the_digit_limit_is_a_schema_error(capsys, command, pa
     assert "digit limit" in report["message"] and len(report["message"]) < 100, report
 
 
+@pytest.mark.parametrize("command, payload, field", [
+    ("stabilizer", {"points": [LONG + "x", "0", "1"]}, "points[0]"),
+    ("geiser", {"model": BICONIC, "point": {"xyz": [LONG + "x", "0", "1"], "t": ["1", "2"]}},
+     "point.xyz[0]"),
+], ids=["stabilizer-point", "geiser-xyz"])
+def test_a_long_rejected_token_is_quoted_short(capsys, command, payload, field):
+    code, out, err = invoke(capsys, command, payload)
+    assert code == 2 and out is None
+    assert len(err.encode()) < 300, err
+    report = json.loads(err)
+    assert (report["error"], report["field"]) == ("schema", field), report
+    assert "(5002 characters)" in report["message"], report
+
+
 @pytest.mark.parametrize("command, payload", [
     ("decide-birational", {"model1": {"roots": [0, 1]}, "model2": UNIT}),
     ("stabilizer", {"points": [0, 1, 2]}),

@@ -89,6 +89,27 @@ def test_parse_error_names_token():
         parse_rat("2/4")
 
 
+EDGE = "1" * 37 + "x"  # its repr is the longest that a message quotes whole
+
+
+@pytest.mark.parametrize("token, message", [
+    ("2/4", "non-coprime rational token: '2/4'"),
+    ("1/0", "zero denominator in token: '1/0'"),
+    ("3/-5", "negative denominator in token: '3/-5'"),
+    ("a", "not a rational token: 'a'"),
+    (7, "not a rational token: 7"),
+    (EDGE, f"not a rational token: '{EDGE}'"),
+    (EDGE + "1", "not a rational token: '111111111111111...1111111111111x1' (39 characters)"),
+    ("1" + "0" * 4999 + "x",
+     "not a rational token: '100000000000000...00000000000000x' (5001 characters)"),
+], ids=["non-coprime", "zero-den", "negative-den", "letter", "not-a-string", "edge-whole",
+        "edge-cut", "long"])
+def test_parse_error_quotes_short_tokens_whole_and_long_ones_cut(token, message):
+    with pytest.raises(ParseError) as info:
+        parse_rat(token)
+    assert str(info.value) == message
+
+
 # -- exact kernels -----------------------------------------------------------
 
 int_vectors = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4)

@@ -1,6 +1,8 @@
 """The project configuration itself: a failing test must not end the
-session, and the console script loads only its subcommand's layers."""
+session, the console script loads only its subcommand's layers, and the
+library states no check as a bare assert."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from test_golden import load
 from test_imports import ALWAYS, fresh
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PACKAGE = PYPROJECT.parent / "src" / "conicbundle"
 
 FAILING_THEN_PASSING = '''
 from hypothesis import given, strategies as st
@@ -51,3 +54,13 @@ def test_the_console_script_loads_only_its_subcommand_layers():
         entry["argv"], entry["stdin"])
     assert (code, out) == (entry["exit"], entry["stdout"])
     assert loaded == ALWAYS | {"conicbundle.lattice", module}
+
+
+def test_the_library_has_no_assert_statement():
+    # python -O strips assert statements, so a postcondition stated as one
+    # would stop holding there; the library raises instead.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert sorted(PACKAGE.glob("*.py")) and not found, found

@@ -35,6 +35,7 @@ from conicbundle.errors import (
     SingularFiberTarget,
 )
 from conicbundle import cli
+from conicbundle import projline as pj
 from conicbundle import twist as tw
 from conicbundle.polynomial import solve_linear
 from conicbundle.projline import ladder
@@ -582,6 +583,29 @@ def test_circle_scan_matches_reference_on_random_large_integers():
         assert circle_point(Fraction(n)) == reference_circle_point(n), n
 
 
+@pytest.mark.parametrize("n", [
+    2 ** 3 * 5 ** 3 * 13 ** 2 * 17 * 29 * 37,  # 3,082,729,000: 96 Gaussian products
+    2 * 5 * 13 * 17 * 29 * 37 * 41 * 53,       # seven split primes: 128 products
+    *[2 ** k for k in range(34)],
+    3 ** 2 * 5, 7 ** 2 * 13 * 17, 11 ** 4 * 5 ** 2, 19 ** 2 * 2 ** 5 * 9973,
+    4999 ** 2 * 397, 3 ** 20,                  # 4999 = 3 mod 4, 397 = 1 mod 4
+    3 * 5 ** 2, 7 ** 3 * 13,                   # an odd power of 3 mod 4: misses
+    10 ** 10, 10 ** 10 - 1, 10 ** 10 + 1,      # the cutoff edges
+    0,                                         # a root fiber: the origin
+], ids=str)
+def test_circle_point_matches_reference_where_the_factorization_is_rich(n):
+    assert circle_point(Fraction(n)) == reference_circle_point(n), n
+
+
+@pytest.mark.parametrize("n", [99989 * 99961, 99991 * 99971, 99989 * 99961 * 4])
+def test_circle_point_past_the_factoring_budget_is_the_scans(monkeypatch, n):
+    # With no Pollard rho steps allowed, _factor gives up on p q with both
+    # primes past trial division, and the circle search falls back to its scan.
+    monkeypatch.setattr(pj, "_RHO_BUDGET", 0)
+    assert pj._factor(n) is None
+    assert circle_point(Fraction(n)) == reference_circle_point(n), n
+
+
 def reference_sample_surface_points(model, per_interval=2):
     # The sampler before the shared ladder, with its own ladder and filter.
     points = [SurfPoint(a, 0, 0) for a in model.roots]
@@ -604,8 +628,9 @@ def reference_sample_surface_points(model, per_interval=2):
 
 
 def test_sample_surface_points_matches_reference(monkeypatch):
-    # Same list, repeated fibers included, from the same point searches in
-    # the same order.
+    # Same list, repeated fibers included, from the reference's point
+    # searches in the same order, less every revisit of a fiber: the
+    # intervals are disjoint, so a repeated x is a revisit within one walk.
     searched = []
     search = tw.find_fiber_point
 
@@ -615,19 +640,48 @@ def test_sample_surface_points_matches_reference(monkeypatch):
 
     monkeypatch.setattr(tw, "find_fiber_point", recording)
     rng = random.Random(29)
-    repeats = 0
+    repeats = revisits = 0
     for _ in range(20):
         height = rng.choice((8, 50, 500, 5000))
         model = support.random_model(rng, rng.randint(1, 3), -height, height)
         searched.clear()
         expected = reference_sample_surface_points(model)
-        expected_searches = list(searched)
+        expected_searches = list(dict.fromkeys(searched))
+        revisits += len(searched) - len(expected_searches)
         searched.clear()
         assert sample_surface_points(model) == expected
         assert searched == expected_searches
         xs = [p.x for p in expected[2 * model.r:]]
         repeats += len(xs) != 2 * len(set(xs))
-    assert repeats > 0
+    assert repeats > 0 and revisits > 0
+
+
+def test_a_ladder_walk_searches_each_fiber_once(monkeypatch):
+    # The whole walk yields the first point of every rung that has one, a
+    # revisited fiber's point again, from one search per distinct fiber.
+    searched = []
+    search = tw.find_fiber_point
+
+    def recording(model, x):
+        searched.append(x)
+        return search(model, x)
+
+    rng = random.Random(31)
+    models = [ConicModel((0, 1)), ConicModel((0, 1, 3, 7))]
+    models += [support.random_model(rng, rng.randint(1, 3), -50, 50) for _ in range(10)]
+    revisited_hits = 0
+    for model in models:
+        for lo, hi in zip(model.roots[::2], model.roots[1::2]):
+            expected = [p for rung in ladder(lo, hi)
+                        for p in [next(filter(None, (search(model, x) for x in rung)), None)]
+                        if p is not None]
+            monkeypatch.setattr(tw, "find_fiber_point", recording)
+            searched.clear()
+            assert list(ladder_fibers(model, lo, hi)) == expected
+            monkeypatch.setattr(tw, "find_fiber_point", search)
+            assert len(searched) == len(set(searched)), (model, lo, hi)
+            revisited_hits += len(expected) - len({p.x for p in expected})
+    assert revisited_hits > 0
 
 
 def test_ladder_rungs():
