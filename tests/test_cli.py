@@ -164,6 +164,46 @@ def test_twist_fiber_mismatch_is_data_error(capsys):
     assert "FiberMismatch" in err
 
 
+def invoke_bytes(capsys, command, payload):
+    """(exit code, stdout, stderr) of one request, as the exact text written."""
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(payload))
+    try:
+        code = run([command])
+    finally:
+        sys.stdin = stdin
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def verify_request(base):
+    return {"model": {"roots": ["0", "1", "2", "3"]},
+            "twist": {"base": base, "lambda": ["1/2", "-3"]}}
+
+
+PASSED_12 = '{\n  "failures": [],\n  "passed": true,\n  "points_checked": 12\n}\n'
+
+
+# The rotation boundary, byte for byte: the one unit-circle message, the half
+# turn c = -1 and a base below the axis as decoded bases, and a transport by
+# the half turn, which forces a base other than the identity.
+@pytest.mark.parametrize("command, payload, expected", [
+    ("verify-twist", verify_request({"c": "1", "s": "1"}),
+     (2, "", '{\n  "error": "schema",\n  "field": "twist.base",\n'
+             '  "message": "twist.base: (1, 1) is not on the unit circle"\n}\n')),
+    ("verify-twist", verify_request({"c": "-1", "s": "0"}), (0, PASSED_12, "")),
+    ("verify-twist", verify_request({"c": "3/5", "s": "-4/5"}), (0, PASSED_12, "")),
+    ("twist", {"model": {"roots": ["0", "1"]},
+               "pairs": [[{"x": "1/2", "y": "1/2", "z": "0"}, {"x": "1/2", "y": "-1/2", "z": "0"}]],
+               "pins": ["0"]},
+     (0, '{\n  "report": {\n    "failures": [],\n    "passed": true,\n    "points_checked": 6\n'
+         '  },\n  "twist": {\n    "base": {\n      "c": "3/5",\n      "s": "4/5"\n    },\n'
+         '    "lambda": [\n      "-1/2",\n      "5"\n    ]\n  }\n}\n', "")),
+], ids=["off-circle-base", "half-turn-base", "lower-base", "half-turn-transport"])
+def test_rotation_boundary_bytes(capsys, command, payload, expected):
+    assert invoke_bytes(capsys, command, payload) == expected
+
+
 # -- del Pezzo commands ----------------------------------------------------------------
 
 def test_geiser_command(capsys):
