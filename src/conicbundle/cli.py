@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 from . import projline as pj
-from .errors import ConicBundleError, ParseError, SchemaError, quote
+from .errors import ConicBundleError, InvalidModel, ParseError, SchemaError, quote
 
 
 class _OnFirstUse:
@@ -145,10 +145,10 @@ def _config(value, path: str) -> pj.IntervalConfig:
 
 
 def _rotation(value, path: str) -> tw.Rotation:
-    c, s = (_field(value, path, k, _rat) for k in "cs")
-    if c * c + s * s != 1:
-        raise SchemaError(path, f"({c}, {s}) is not on the unit circle")
-    return tw.Rotation(c, s)
+    try:
+        return tw.Rotation(*(_field(value, path, k, _rat) for k in "cs"))
+    except InvalidModel as exc:
+        raise SchemaError(path, str(exc)) from None
 
 
 def _twist(value, path: str) -> tw.TwistMap:
@@ -327,10 +327,7 @@ def _selftest(seed: int) -> dict:
                 (got is not None and got[0] == pj.Moebius.identity(),
                  f"self-equivalence missed the identity on {config}")))
 
-    spins = [tw.Rotation.identity(), tw.Rotation(Fraction(0), Fraction(1)),
-             tw.Rotation(Fraction(3, 5), Fraction(4, 5)),
-             tw.Rotation(Fraction(-3, 5), Fraction(4, 5)),
-             tw.Rotation(Fraction(5, 13), Fraction(12, 13))]
+    spins = [tw.rotation_from_param(lam) for lam in (0, 1, Fraction(1, 2), 2, Fraction(2, 3))]
     for roots in ((0, 1), (0, 1, 2, 3), (-2, -1, 1, 2), (0, 1, 4, 5, 8, 9)):
         model = cm.ConicModel(tuple(Fraction(a) for a in roots))
         fibers = [p for lo, hi in zip(model.roots[::2], model.roots[1::2])

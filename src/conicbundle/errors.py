@@ -3,10 +3,10 @@
 _QUOTE_WHOLE = 40  # longest repr that an error message quotes whole
 
 
-def quote(value) -> str:
-    """repr(value) for an error message: whole when short, else its first
-    and last few characters and its length, so the message stays short."""
-    text = repr(value)
+def quote(value, text: str = None) -> str:
+    """text, by default repr(value), for an error message: whole when short,
+    else its first and last few characters and its length, to keep it short."""
+    text = repr(value) if text is None else text
     if len(text) <= _QUOTE_WHOLE:
         return text
     size = len(value) if isinstance(value, str) else len(text)

@@ -66,19 +66,20 @@ class RatPoly:
                 clear_denominators(reversed(self.coeffs)))
 
     def evaluate(self, x) -> Rat:
-        """Homogeneous Horner at x = p/q in integers: with a_i = L * c_i,
-        P(x) = (sum a_i p^i q^(d - i)) / (L q^d), reduced once."""
+        return Fraction(*self.ratio_at(x))
+
+    def ratio_at(self, x) -> tuple:
+        """P(x) as integers (num, den), den > 0, not reduced: homogeneous Horner
+        at x = p/q with a_i = L * c_i gives (sum a_i p^i q^(d - i)) / (L q^d)."""
         if not self.coeffs:
-            return Fraction(0)
+            return 0, 1
         den, ints = self._cleared
-        p, q = Fraction(x).as_integer_ratio()
+        p, q = (x if isinstance(x, Fraction) else Fraction(x)).as_integer_ratio()
         acc, qk = 0, 1
         for a in ints:
             acc = acc * p + a * qk
             qk *= q
-        return Fraction(acc, den * qk // q)
-
-    __call__ = evaluate
+        return acc, den * qk // q
 
     def derivative(self) -> "RatPoly":
         return RatPoly(tuple(c * k for k, c in enumerate(self.coeffs) if k > 0))

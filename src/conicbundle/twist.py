@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -27,50 +27,66 @@ from .errors import (
     NotOnSurface,
     PinCollision,
     SingularFiberTarget,
+    quote,
 )
 from .polynomial import RatPoly, solve_linear
-from .projline import Rat, _factor, format_rat, ladder
+from .projline import Rat, _factor, clear_denominators, format_rat, ladder, primitive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rotation:
-    """A rational rotation (c, s) with c^2 + s^2 = 1."""
+    """A rational rotation c + is, held as the primitive Gaussian integer
+    z = q + ip (q > 0, or z = i) with c + is = z^2 / (q^2 + p^2).  By Hilbert
+    90 for Q(i)/Q every rotation is such a z and every z != 0 a rotation, so
+    no arithmetic below checks the circle; p/q is the half-angle tangent."""
 
-    c: Rat
-    s: Rat
+    q: int
+    p: int
 
-    def __post_init__(self):
-        c, s = (v if isinstance(v, Fraction) else Fraction(v) for v in (self.c, self.s))
+    def __init__(self, c: Rat, s: Rat):
+        """The rotation (c, s); the one check that c^2 + s^2 = 1."""
+        c, s = (v if isinstance(v, Fraction) else Fraction(v) for v in (c, s))
         # c^2 + s^2 = 1 in integers: with c = a/h and s = b/k in lowest terms,
         # a^2 k^2 + b^2 h^2 = h^2 k^2 makes h^2 divide a^2 k^2, so h | k, and
         # k | h alike; hence h = k and a^2 + b^2 = h^2, and conversely.
         h = c.denominator
         if s.denominator != h or c.numerator ** 2 + s.numerator ** 2 != h * h:
-            raise InvalidModel(f"({c}, {s}) is not on the unit circle")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "s", s)
+            raise InvalidModel(f"({quote(c, format_rat(c))}, {quote(s, format_rat(s))})"
+                               " is not on the unit circle")
+        # z = (h + a) + ib: (h + a)^2 - b^2 = 2a(h + a) and N(z) = 2h(h + a)
+        z = Rotation._of(h + c.numerator, s.numerator)
+        object.__setattr__(self, "q", z.q)
+        object.__setattr__(self, "p", z.p)
+
+    @classmethod
+    def _of(cls, q: int, p: int) -> "Rotation":
+        """The rotation of z = q + ip, unchecked; z = 0 (c = -1, a half-turn transport) is i."""
+        rot = object.__new__(cls)
+        q, p = primitive(q, p) if q or p else (0, 1)
+        object.__setattr__(rot, "q", q)
+        object.__setattr__(rot, "p", p)
+        return rot
 
     @staticmethod
     def identity() -> "Rotation":
-        return Rotation(Fraction(1), Fraction(0))
+        return Rotation._of(1, 0)
 
     @property
     def is_identity(self) -> bool:
-        return self.c == 1 and self.s == 0
+        return self.p == 0
+
+    c = property(lambda self: Fraction(self.q ** 2 - self.p ** 2, self.q ** 2 + self.p ** 2))
+    s = property(lambda self: Fraction(2 * self.q * self.p, self.q ** 2 + self.p ** 2))
 
     def compose(self, other: "Rotation") -> "Rotation":
-        # c and s share their denominator, so (a/h, b/h)(a'/k, b'/k) is
-        # ((aa' - bb')/hk, (ba' + ab')/hk).
-        a, b, h = self.c.numerator, self.s.numerator, self.c.denominator
-        a2, b2, k = other.c.numerator, other.s.numerator, other.c.denominator
-        return Rotation(Fraction(a * a2 - b * b2, h * k), Fraction(b * a2 + a * b2, h * k))
+        return Rotation._of(*_gauss_mul((self.q, self.p), (other.q, other.p)))
 
     def inverse(self) -> "Rotation":
-        return Rotation(self.c, -self.s)
+        return Rotation._of(self.q, -self.p)
 
     def apply(self, y: Rat, z: Rat) -> Tuple[Rat, Rat]:
-        # (c y - s z, s y + c z) over the one denominator h * y2 * z2.
-        a, b, h = self.c.numerator, self.s.numerator, self.c.denominator
+        # (c y - s z, s y + c z) over one denominator, c = a/h and s = b/h unreduced
+        a, b, h = self.q ** 2 - self.p ** 2, 2 * self.q * self.p, self.q ** 2 + self.p ** 2
         y1, y2 = y.as_integer_ratio()
         z1, z2 = z.as_integer_ratio()
         u, v, w = y1 * z2, z1 * y2, h * y2 * z2
@@ -81,11 +97,10 @@ class Rotation:
 
 
 def rotation_from_param(lam: Rat) -> Rotation:
-    """psi(lam) = ((1 - lam^2)/(1 + lam^2), 2 lam/(1 + lam^2)), which is
-    ((q^2 - p^2)/(q^2 + p^2), 2pq/(q^2 + p^2)) for lam = p/q."""
+    """psi(lam) = ((1 - lam^2)/(1 + lam^2), 2 lam/(1 + lam^2)), the Gaussian
+    integer q + ip for lam = p/q."""
     p, q = Fraction(lam).as_integer_ratio()
-    h = q * q + p * p
-    return Rotation(Fraction(q * q - p * p, h), Fraction(2 * p * q, h))
+    return Rotation._of(q, p)
 
 
 def rotation_between(model: ConicModel, x: Rat, frm: Tuple[Rat, Rat],
@@ -100,40 +115,24 @@ def rotation_between(model: ConicModel, x: Rat, frm: Tuple[Rat, Rat],
         raise NotOnFiber(f"({y}, {z}) is not on the circle of radius^2 {rho}")
     if v * v + w * w != rho:
         raise NotOnFiber(f"({v}, {w}) is not on the circle of radius^2 {rho}")
-    return Rotation((y * v + z * w) / rho, (y * w - z * v) / rho)
+    # (v + iw)(y - iz) = rho (c + is), and rho (1 + c + is) is a real multiple
+    # of the rotation's Gaussian integer; it is 0 exactly for the half turn.
+    return Rotation._of(*clear_denominators((rho + y * v + z * w, y * w - z * v)))
 
 
 def chart_param(base: Rotation, phi: Rotation) -> Rat:
-    """The parameter lam with base * psi(lam) = phi (tangent half-angle)."""
+    """The parameter lam with base * psi(lam) = phi: p/q of conj(z_base) z_phi."""
     rel = base.inverse().compose(phi)
-    if rel.c == -1:
-        raise ChartPole(f"{phi} sits at the excluded point of the chart")
-    return rel.s / (1 + rel.c)
-
-
-def identity_param(base: Rotation) -> Rat:
-    """The parameter whose fiber rotation is the identity."""
-    return chart_param(base, Rotation.identity())
-
-
-def rotation_supply() -> Iterator[Rotation]:
-    """Deterministic supply: the identity, then the Pythagorean family."""
-    yield Rotation.identity()
-    k = 1
-    while True:
-        h = 2 * k * k + 2 * k + 1
-        yield Rotation(Fraction(2 * k + 1, h), Fraction(2 * k * k + 2 * k, h))
-        k += 1
+    if rel.q == 0:
+        raise ChartPole(f"rotation {phi.as_json()} sits at the excluded point of the chart")
+    return Fraction(rel.p, rel.q)
 
 
 def choose_base_rotation(required: Iterable[Rotation]) -> Rotation:
-    """First supply rotation whose chart pole avoids id and all required ones."""
+    """The first base (k + 1) + ik, k = 0, 1, ..., whose chart pole, the
+    rotation i z, is not required.  No pole is the identity."""
     needed = set(required)
-    for candidate in rotation_supply():
-        pole = Rotation(-candidate.c, -candidate.s)
-        if not pole.is_identity and pole not in needed:
-            return candidate
-    raise AssertionError("unreachable: the supply is infinite")
+    return next(Rotation._of(k + 1, k) for k in count() if Rotation._of(-k, k + 1) not in needed)
 
 
 def interpolate(nodes: Sequence) -> RatPoly:
@@ -174,7 +173,9 @@ class TwistMap:
     lam: RatPoly
 
     def fiber_rotation(self, x: Rat) -> Rotation:
-        return self.base.compose(rotation_from_param(self.lam.evaluate(x)))
+        # psi(num/den) is the Gaussian integer den + i num
+        num, den = self.lam.ratio_at(x)
+        return Rotation._of(*_gauss_mul((self.base.q, self.base.p), (den, num)))
 
     def as_json(self) -> dict:
         return {"base": self.base.as_json(), "lambda": self.lam.as_json()}
@@ -225,7 +226,7 @@ def twist_from_rotations(model: ConicModel, rotation_nodes: Sequence,
             pin_list.append(b)
 
     base = choose_base_rotation(rotations)
-    lam_id = identity_param(base)
+    lam_id = chart_param(base, Rotation.identity())
     nodes = [(x, chart_param(base, rot)) for x, rot in zip(node_xs, rotations)]
     nodes += [(x0, lam_id, 2 * mu0 / (1 + base.c)) for x0, mu0 in jet_list]
     nodes += [(b, lam_id) for b in pin_list]
@@ -398,7 +399,7 @@ def sample_surface_points(model: ConicModel) -> list:
     """Deterministic rational sample: the root points, then the first two
     ladder fibers of each interval, each point with its spun copy."""
     points = [SurfPoint(a, 0, 0) for a in model.roots]
-    spin = Rotation(Fraction(3, 5), Fraction(4, 5))
+    spin = rotation_from_param(Fraction(1, 2))
     for lo, hi in zip(model.roots[::2], model.roots[1::2]):
         for p in islice(ladder_fibers(model, lo, hi), 2):
             points += [p, SurfPoint(p.x, *spin.apply(p.y, p.z))]
@@ -421,10 +422,9 @@ class TwistReport:
 def verify_twist(model: ConicModel, twist: TwistMap) -> TwistReport:
     """Certify membership preservation and invertibility on sampled points.
 
-    The base rotation R0 is on the unit circle by construction (`Rotation`
-    rejects any other), and psi(lambda(x)) is a rotation for every lambda,
-    so neither needs a check here.  Q(x) and both rotations are computed
-    once per distinct sampled fiber; every sampled point is still checked.
+    Every fiber map is a rotation by construction (see `Rotation`), so none
+    is checked here.  Q(x) and both rotations are computed once per distinct
+    sampled fiber; every sampled point is still checked.
     """
     failures = []
     inv = inverse_twist(twist)

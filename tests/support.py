@@ -25,6 +25,7 @@ import sys
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 import conicbundle
 from conicbundle import (
@@ -406,6 +407,13 @@ def reference_compose(r1, r2):
 
 def reference_apply(rot, y, z):
     return rot.c * y - rot.s * z, rot.s * y + rot.c * z
+
+
+def reference_fiber_rotation(twist, x):
+    """(c, s) of R0 * psi(lambda(x)) in Fractions: the base's (c, s) times the
+    circle parametrization at lambda(x), by Horner's rule."""
+    c, s = reference_rotation_from_param(reference_evaluate(twist.lam, x))
+    return reference_compose(twist.base, SimpleNamespace(c=c, s=s))
 
 
 def reference_solve_linear(rows, rhs):

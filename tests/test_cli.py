@@ -343,18 +343,21 @@ def test_json_integer_past_the_digit_limit_is_a_schema_error(capsys, command, pa
     assert "digit limit" in report["message"] and len(report["message"]) < 100, report
 
 
-@pytest.mark.parametrize("command, payload, field", [
-    ("stabilizer", {"points": [LONG + "x", "0", "1"]}, "points[0]"),
+@pytest.mark.parametrize("command, payload, field, size", [
+    ("stabilizer", {"points": [LONG + "x", "0", "1"]}, "points[0]", 5002),
     ("geiser", {"model": BICONIC, "point": {"xyz": [LONG + "x", "0", "1"], "t": ["1", "2"]}},
-     "point.xyz[0]"),
-], ids=["stabilizer-point", "geiser-xyz"])
-def test_a_long_rejected_token_is_quoted_short(capsys, command, payload, field):
+     "point.xyz[0]", 5002),
+    # an off-circle base c of 4,000 digits, short enough to parse
+    ("verify-twist", {"model": UNIT, "twist": {"base": {"c": LONG[:4000], "s": "1"}, "lambda": []}},
+     "twist.base", 4000),
+], ids=["stabilizer-point", "geiser-xyz", "off-circle-base"])
+def test_a_long_rejected_token_is_quoted_short(capsys, command, payload, field, size):
     code, out, err = invoke(capsys, command, payload)
     assert code == 2 and out is None
     assert len(err.encode()) < 300, err
     report = json.loads(err)
     assert (report["error"], report["field"]) == ("schema", field), report
-    assert "(5002 characters)" in report["message"], report
+    assert f"({size} characters)" in report["message"], report
 
 
 @pytest.mark.parametrize("command, payload", [

@@ -41,9 +41,7 @@ from conicbundle.polynomial import solve_linear
 from conicbundle.projline import ladder
 from conicbundle.twist import (
     _circle_solution,
-    identity_param,
     ladder_fibers,
-    rotation_supply,
     sample_surface_points,
 )
 
@@ -146,6 +144,33 @@ def test_rotation_kernels_match_fraction_reference():
         assert r1.apply(y, z) == support.reference_apply(r1, y, z), (r1, y, z)
 
 
+def test_fiber_rotation_matches_fraction_reference():
+    # 300 random twist maps, their bases from Gaussian integers q + ip (with
+    # p > 0, as -z is the same rotation), every tenth the half turn q = 0 and
+    # every tenth the identity p = 0
+    rng = random.Random(59)
+    for trial in range(300):
+        q, p = rng.randint(-10 ** 4, 10 ** 4), rng.randint(1, 10 ** 4)
+        if trial % 10 == 0:
+            q = 0
+        elif trial % 10 == 1:
+            q, p = p, 0
+        norm = q * q + p * p
+        base = Rotation(Fraction(q * q - p * p, norm), Fraction(2 * p * q, norm))
+        lam = RatPoly(tuple(random_fraction(rng, 10 ** 7) for _ in range(rng.randint(1, 12))))
+        twist = TwistMap(base, lam)
+        x = random_fraction(rng, rng.choice((9, 10 ** 3)))
+        rot = twist.fiber_rotation(x)
+        assert (rot.c, rot.s) == support.reference_fiber_rotation(twist, x), (twist, x)
+        again = Rotation(rot.c, rot.s)
+        assert again == rot and hash(again) == hash(rot)
+        assert rot.q > 0 or (rot.q, rot.p) == (0, 1)
+        pole = rot.compose(HALF)
+        with pytest.raises(ChartPole) as info:
+            chart_param(rot, pole)
+        assert f"'c': '{pj.format_rat(pole.c)}', 's': '{pj.format_rat(pole.s)}'" in str(info.value)
+
+
 def test_rotation_between_identity():
     model = unit_model()
     frm = (Fraction(1, 2), Fraction(0))
@@ -196,8 +221,11 @@ def test_chart_roundtrip():
 
 
 def test_identity_param_matches_chart():
-    for base in (Rotation.identity(), SPIN35):
-        assert base.compose(rotation_from_param(identity_param(base))).is_identity
+    # the identity's parameter in the chart of base = q + ip is -p/q
+    for base in (Rotation.identity(), SPIN35, SPIN35.inverse(), QUARTER):
+        lam = chart_param(base, Rotation.identity())
+        assert lam == Fraction(-base.p, base.q)
+        assert base.compose(rotation_from_param(lam)).is_identity
 
 
 # -- base rotation choice ---------------------------------------------------------
@@ -220,14 +248,17 @@ def test_choose_base_postcondition():
     assert not pole.is_identity and pole not in required
 
 
-def test_rotation_supply_is_on_circle():
-    supply = rotation_supply()
-    seen = set()
-    for _ in range(8):
-        rot = next(supply)
+def test_base_family_is_on_circle():
+    # choose_base_rotation walks psi(k/(k + 1)), k = 0, 1, ..., and takes
+    # each one once the poles of those before it are required
+    required, seen = set(), set()
+    for k in range(8):
+        rot = rotation_from_param(Fraction(k, k + 1))
         assert rot.c ** 2 + rot.s ** 2 == 1
+        assert choose_base_rotation(required) == rot
         assert rot not in seen
         seen.add(rot)
+        required.add(Rotation(-rot.c, -rot.s))
 
 
 # -- interpolation ------------------------------------------------------------------
@@ -501,8 +532,7 @@ def reference_tangent_coefficient(twist, x0):
 
 def test_tangent_coefficient_matches_quotient_rule():
     rng = random.Random(17)
-    supply = rotation_supply()
-    bases = [next(supply) for _ in range(5)]
+    bases = [rotation_from_param(Fraction(k, k + 1)) for k in range(5)]
     bases += [Rotation(-b.s, b.c) for b in bases] + [b.inverse() for b in bases]
     for _ in range(200):
         degree = rng.randint(0, 5)
@@ -595,6 +625,32 @@ def test_circle_scan_matches_reference_on_random_large_integers():
 ], ids=str)
 def test_circle_point_matches_reference_where_the_factorization_is_rich(n):
     assert circle_point(Fraction(n)) == reference_circle_point(n), n
+
+
+def test_circle_solution_matches_sympy_sum_of_squares():
+    # An oracle that shares no code with the Gaussian kernel: the least s of
+    # s^2 + t^2 = n, or no representation at all, as sympy finds them.
+    sum_of_squares = pytest.importorskip("sympy.solvers.diophantine.diophantine").sum_of_squares
+    rng = random.Random(61)
+    split, inert = [5, 13, 17, 29, 37, 41, 53, 97, 101, 9973], [3, 7, 11, 19, 4999, 99991]
+    ns = [2 ** k for k in range(34)]
+    ns += [q ** k for q in inert for k in range(1, 21) if q ** k <= 10 ** 10]
+    while len(ns) < 160:
+        # factor-rich: split primes, a power of 2 and of a 3 mod 4 prime
+        n = 2 ** rng.randint(0, 5) * rng.choice(inert) ** rng.randint(0, 3)
+        for p in rng.sample(split, rng.randint(1, 5)):
+            n *= p ** rng.randint(1, 3)
+        if n <= 10 ** 10:
+            ns.append(n)
+    ns += [rng.randint(1, 10 ** 10) for _ in range(30)]
+    misses = 0
+    for n in ns:
+        # sympy yields each representation once, as a sorted pair
+        least = min((s for s, _ in sum_of_squares(n, 2, zeros=True)), default=None)
+        expected = None if least is None else (least, isqrt(n - least * least))
+        assert _circle_solution(n, 1) == expected, n
+        misses += expected is None
+    assert 40 < misses < len(ns) - 40, misses
 
 
 @pytest.mark.parametrize("n", [99989 * 99961, 99991 * 99971, 99989 * 99961 * 4])
