@@ -9,18 +9,17 @@ surface once marked points are blown up).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
-from .errors import InvalidModel, NotOnSurface
+from .errors import InvalidModel, NotOnSurface, Value
 from .projline import (
     IntervalConfig,
     Moebius,
     Rat,
     _equiv_candidates,
     config_equiv,
+    quote_rat,
     realizable_permutations,
 )
 
@@ -36,27 +35,22 @@ RULE_BIRATIONAL = "thm6.1(3)"
 RULE_MARKED_ISO = "lem9.1"
 
 
-@dataclass(frozen=True)
-class ConicModel:
+class ConicModel(Value):
     """Roots a_1 < ... < a_{2r} of Q(x) = -(x - a_1)...(x - a_{2r})."""
 
-    roots: tuple
+    __slots__ = ("roots", "_root_ratios")
 
-    def __post_init__(self):
-        roots = tuple(Fraction(a) for a in self.roots)
+    def __init__(self, roots: tuple):
+        roots = tuple(Fraction(a) for a in roots)
         if len(roots) < 2 or len(roots) % 2 != 0:
             raise InvalidModel("need a positive even number of roots")
         if any(roots[i] >= roots[i + 1] for i in range(len(roots) - 1)):
             raise InvalidModel("roots must be strictly increasing")
-        object.__setattr__(self, "roots", roots)
+        super().__init__(roots, tuple(a.as_integer_ratio() for a in roots))
 
     @property
     def r(self) -> int:
         return len(self.roots) // 2
-
-    @cached_property
-    def _root_ratios(self) -> tuple:
-        return tuple(a.as_integer_ratio() for a in self.roots)
 
     def q_ratio(self, x: Rat) -> tuple:
         """Q(x) as integers (num, den) with den > 0, not reduced."""
@@ -71,18 +65,18 @@ class ConicModel:
         return Fraction(*self.q_ratio(Fraction(x)))
 
 
-@dataclass(frozen=True)
-class SurfPoint:
+class SurfPoint(Value):
     """An exact rational point (x, y, z) with y^2 + z^2 = Q(x)."""
 
-    x: Rat
-    y: Rat
-    z: Rat
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            if not isinstance(getattr(self, name), Fraction):
-                object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, x: Rat, y: Rat, z: Rat):
+        super().__init__(*[v if isinstance(v, Fraction) else Fraction(v) for v in (x, y, z)])
+
+
+def _quote_point(p: SurfPoint) -> str:
+    # (x, y, z) for an error message, each coordinate cut short by quote
+    return f"({quote_rat(p.x)}, {quote_rat(p.y)}, {quote_rat(p.z)})"
 
 
 def on_surface(model: ConicModel, p: SurfPoint) -> bool:
@@ -98,28 +92,26 @@ def interval_image(model: ConicModel) -> IntervalConfig:
 def component_index(model: ConicModel, p: SurfPoint) -> int:
     """1-based index of the interval [a_{2i-1}, a_{2i}] containing x."""
     if not on_surface(model, p):
-        raise NotOnSurface(f"({p.x}, {p.y}, {p.z}) is not on the surface")
+        raise NotOnSurface(f"{_quote_point(p)} is not on the surface")
     for i in range(model.r):
         if model.roots[2 * i] <= p.x <= model.roots[2 * i + 1]:
             return i + 1
     raise NotOnSurface("surface point outside every interval")  # unreachable
 
 
-@dataclass(frozen=True)
-class MarkedModel:
+class MarkedModel(Value):
     """A model plus distinct real points recording blow-up centres."""
 
-    model: ConicModel
-    marks: tuple
+    __slots__ = ("model", "marks")
 
-    def __post_init__(self):
-        marks = tuple(self.marks)
+    def __init__(self, model: ConicModel, marks: tuple):
+        marks = tuple(marks)
         if len(set(marks)) != len(marks):
             raise InvalidModel("marks must be pairwise distinct")
         for p in marks:
-            if not on_surface(self.model, p):
-                raise NotOnSurface(f"mark ({p.x}, {p.y}, {p.z}) is off the surface")
-        object.__setattr__(self, "marks", marks)
+            if not on_surface(model, p):
+                raise NotOnSurface(f"mark {_quote_point(p)} is off the surface")
+        super().__init__(model, marks)
 
     def mark_counts(self) -> tuple:
         counts = [0] * self.model.r
@@ -159,18 +151,14 @@ def _transposition(i: int, j: int, r: int) -> tuple:
     return tuple(nu)
 
 
-@dataclass(frozen=True)
-class VeryTransitiveVerdict:
-    """Decision record for very-transitivity of the automorphism group."""
+class VeryTransitiveVerdict(Value):
+    """Decision record for very-transitivity of the automorphism group.
 
-    very_transitive: bool
-    rule: str
-    r: int
-    types: tuple
-    witnesses: tuple  # pairs (permutation, Moebius) backing a yes verdict
-    reason: Optional[str]
-    component_wise: bool  # very transitive on each component (yes iff r <= 3)
-    not_two_transitive: bool
+    witnesses: pairs (permutation, Moebius) backing a yes verdict;
+    component_wise: very transitive on each component (yes iff r <= 3)."""
+
+    __slots__ = ("very_transitive", "rule", "r", "types", "witnesses", "reason",
+                 "component_wise", "not_two_transitive")
 
     def as_json(self) -> dict:
         return {

@@ -11,7 +11,6 @@ the second conic bundle structure.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import isqrt
@@ -25,7 +24,9 @@ from .errors import (
     NotOnSurface,
     TooManyIntervals,
     Unsupported,
+    Value,
     WitnessSearchFailed,
+    quote,
 )
 from .projline import (
     INF,
@@ -45,21 +46,16 @@ from .projline import (
 )
 
 
-@dataclass(frozen=True)
-class BinQuadForm:
+class BinQuadForm(Value):
     """A binary quadratic form m(a, b) = al*a^2 + be*a*b + ga*b^2."""
 
-    al: Rat
-    be: Rat
-    ga: Rat
+    __slots__ = ("al", "be", "ga")
 
-    def __post_init__(self):
-        al, be, ga = Fraction(self.al), Fraction(self.be), Fraction(self.ga)
+    def __init__(self, al: Rat, be: Rat, ga: Rat):
+        al, be, ga = Fraction(al), Fraction(be), Fraction(ga)
         if al == 0 and be == 0 and ga == 0:
             raise InvalidModel("the zero form is not allowed")
-        object.__setattr__(self, "al", al)
-        object.__setattr__(self, "be", be)
-        object.__setattr__(self, "ga", ga)
+        super().__init__(al, be, ga)
 
     @property
     def disc(self) -> Rat:
@@ -78,8 +74,7 @@ def resultant(f, g) -> Rat:
             - (f.al * g.be - g.al * f.be) * (f.be * g.ga - g.be * f.ga))
 
 
-@dataclass(frozen=True)
-class BiconicModel:
+class BiconicModel(Value):
     """Forms (m1, m2, m3) with m1*m2*m3 squarefree of degree 6, plus the
     declared number k of genuine intervals in the real image.
 
@@ -88,15 +83,12 @@ class BiconicModel:
     common positive factor changes neither the surface, nor the sign of any
     form, nor which discriminants and resultants vanish."""
 
-    m1: BinQuadForm
-    m2: BinQuadForm
-    m3: BinQuadForm
-    k: int
+    __slots__ = ("m1", "m2", "m3", "k", "_coeffs")
 
-    def __post_init__(self):
-        if not 0 <= self.k <= 3:
+    def __init__(self, m1: BinQuadForm, m2: BinQuadForm, m3: BinQuadForm, k: int):
+        if not 0 <= k <= 3:
             raise InvalidModel("k must lie between 0 and 3")
-        ints = clear_denominators([c for f in self.forms for c in (f.al, f.be, f.ga)])
+        ints = clear_denominators([c for f in (m1, m2, m3) for c in (f.al, f.be, f.ga)])
         forms = tuple(_IntForm(*ints[i:i + 3]) for i in (0, 3, 6))
         for f in forms:
             if f.disc == 0:
@@ -105,7 +97,7 @@ class BiconicModel:
             for j in range(i + 1, 3):
                 if resultant(forms[i], forms[j]) == 0:
                     raise InvalidModel("two forms share a root")
-        object.__setattr__(self, "_coeffs", forms)
+        super().__init__(m1, m2, m3, k, forms)
 
     @property
     def forms(self) -> tuple:
@@ -117,18 +109,16 @@ class BiconicModel:
         return tuple([al * aa + be * ab + ga * bb for al, be, ga in self._coeffs])
 
 
-@dataclass(frozen=True)
-class BiPoint:
+class BiPoint(Value):
     """A point ((x : y : z), t) of the surface inside P^2 x P^1."""
 
-    xyz: tuple
-    t: ProjPoint
+    __slots__ = ("xyz", "t")
 
-    def __post_init__(self):
-        x, y, z = (int(v) for v in self.xyz)
+    def __init__(self, xyz: tuple, t: ProjPoint):
+        x, y, z = (int(v) for v in xyz)
         if x == 0 and y == 0 and z == 0:
             raise InvalidModel("(0 : 0 : 0) is not a point of the plane")
-        object.__setattr__(self, "xyz", primitive(x, y, z))
+        super().__init__(primitive(x, y, z), t)
 
     def as_json(self) -> dict:
         return {"xyz": [format_rat(v) for v in self.xyz],
@@ -220,7 +210,7 @@ def geiser(model: BiconicModel, p: BiPoint) -> BiPoint:
     a_coef, b_coef, c_coef = _fiber_quadratic(model, p.xyz)
     a0, b0 = p.t.u0, p.t.u1
     if a_coef * a0 * a0 + b_coef * a0 * b0 + c_coef * b0 * b0 != 0:
-        raise NotOnSurface(f"{p.xyz} over {p.t} is not on the surface")
+        raise NotOnSurface(f"{quote(p.xyz)} over {quote(p.t)} is not on the surface")
     image = ((c_coef - a_coef) * a0 - b_coef * b0, (a_coef - c_coef) * b0 - b_coef * a0)
     if image == (0, 0):
         raise Unsupported("fiber quadratic vanishes identically over this point")

@@ -1,4 +1,38 @@
-"""Exception types shared across the library."""
+"""Exception types and the immutable value base shared across the library."""
+
+
+class Value:
+    """An immutable value.  A subclass lists its fields first in __slots__,
+    then its derived slots, named "_..."; its __init__ hands every slot's
+    value in that order to Value.__init__, the one writer.  Values of one
+    class are equal when their fields are, hash as the tuple of their
+    fields and print as Name(field=value, ...)."""
+
+    __slots__ = ("_key",)  # the tuple of field values
+
+    def __init_subclass__(cls):
+        cls._arity = sum(not name.startswith("_") for name in cls.__slots__)
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", values[:self._arity])
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
 
 _QUOTE_WHOLE = 40  # longest repr that an error message quotes whole
 

@@ -11,24 +11,22 @@ D -> (D.K) K - D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, NamedTuple
 
-from .errors import BasisMismatch, NotAFiberClass, Unsupported
+from .errors import BasisMismatch, NotAFiberClass, Unsupported, Value
 
 
-@dataclass(frozen=True)
-class PicVector:
+class PicVector(Value):
     """Integer coordinates (d; c1, ..., cm) for d*e0 + sum ci*ei."""
 
-    coords: tuple
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        coords = tuple(int(v) for v in self.coords)
+    def __init__(self, coords: tuple):
+        coords = tuple(int(v) for v in coords)
         if len(coords) < 2:
             raise ValueError("a lattice vector needs e0 and at least one ei")
-        object.__setattr__(self, "coords", coords)
+        super().__init__(coords)
 
     @property
     def m(self) -> int:
@@ -128,16 +126,16 @@ def geiser_reflection(d: PicVector) -> PicVector:
     return intersect(d, k) * k - d
 
 
-@dataclass(frozen=True)
-class ClassPerm:
-    """A permutation of an indexed list of classes."""
+class ClassPerm(Value):
+    """A permutation of an indexed list of classes: mapping[i] is the index
+    of the image of classes[i]."""
 
-    classes: tuple
-    mapping: tuple  # mapping[i] = index of the image of classes[i]
+    __slots__ = ("classes", "mapping")
 
-    def __post_init__(self):
-        if sorted(self.mapping) != list(range(len(self.classes))):
+    def __init__(self, classes: tuple, mapping: tuple):
+        if sorted(mapping) != list(range(len(classes))):
             raise ValueError("mapping is not a permutation of the class list")
+        super().__init__(classes, mapping)
 
     def compose(self, other: "ClassPerm") -> "ClassPerm":
         if self.classes != other.classes:

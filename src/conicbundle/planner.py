@@ -16,67 +16,57 @@ along a forbidden y-line.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InvalidModel, OnForbiddenLine, OutsideRegion
+from .errors import InvalidModel, OnForbiddenLine, OutsideRegion, Value, quote
 from .projline import Rat, format_rat
 
 Point = Tuple[Rat, Rat]
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(Value):
     """A closed axis-aligned rectangle [x0, x1] x [y0, y1]."""
 
-    x0: Rat
-    x1: Rat
-    y0: Rat
-    y1: Rat
+    __slots__ = ("x0", "x1", "y0", "y1")
 
-    def __post_init__(self):
-        for name in ("x0", "x1", "y0", "y1"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.x0 > self.x1 or self.y0 > self.y1:
+    def __init__(self, x0: Rat, x1: Rat, y0: Rat, y1: Rat):
+        x0, x1, y0, y1 = Fraction(x0), Fraction(x1), Fraction(y0), Fraction(y1)
+        if x0 > x1 or y0 > y1:
             raise InvalidModel("rectangle ranges must be nonempty")
+        super().__init__(x0, x1, y0, y1)
 
     def contains(self, p: Point) -> bool:
         return self.x0 <= p[0] <= self.x1 and self.y0 <= p[1] <= self.y1
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Value):
     """A finite union of rectangles; overlaps are allowed."""
 
-    rects: tuple
+    __slots__ = ("rects",)
 
-    def __post_init__(self):
-        rects = tuple(self.rects)
+    def __init__(self, rects: tuple):
+        rects = tuple(rects)
         if not rects:
             raise InvalidModel("a region needs at least one rectangle")
-        object.__setattr__(self, "rects", rects)
+        super().__init__(rects)
 
     def contains(self, p: Point) -> bool:
         return any(r.contains(p) for r in self.rects)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Value):
     """A nondegenerate horizontal or vertical segment."""
 
-    a: Point
-    b: Point
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        a = (Fraction(self.a[0]), Fraction(self.a[1]))
-        b = (Fraction(self.b[0]), Fraction(self.b[1]))
+    def __init__(self, a: Point, b: Point):
+        a, b = _as_point(a), _as_point(b)
         if a == b:
             raise InvalidModel("zero-length segment")
         if a[0] != b[0] and a[1] != b[1]:
             raise InvalidModel("segment is neither horizontal nor vertical")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        super().__init__(a, b)
 
     @property
     def is_vertical(self) -> bool:
@@ -87,20 +77,19 @@ class Segment:
                 [format_rat(self.b[0]), format_rat(self.b[1])]]
 
 
-@dataclass(frozen=True)
-class SegPath:
+class SegPath(Value):
     """Alternating axis-parallel segments, consecutive ones sharing a point."""
 
-    segments: tuple
+    __slots__ = ("segments",)
 
-    def __post_init__(self):
-        segs = tuple(self.segments)
+    def __init__(self, segments: tuple):
+        segs = tuple(segments)
         for prev, cur in zip(segs, segs[1:]):
             if prev.b != cur.a:
                 raise InvalidModel("consecutive segments must share an endpoint")
             if prev.is_vertical == cur.is_vertical:
                 raise InvalidModel("consecutive segments must alternate orientation")
-        object.__setattr__(self, "segments", segs)
+        super().__init__(segs)
 
     def __len__(self):
         return len(self.segments)
@@ -169,12 +158,12 @@ def find_rect_path(region: Region, start, end,
     fx = {Fraction(v) for v in forbidden_x}
     fy = {Fraction(v) for v in forbidden_y}
     if not region.contains(start):
-        raise OutsideRegion(f"start {start} is outside the region")
+        raise OutsideRegion(f"start {quote(start)} is outside the region")
     if not region.contains(end):
-        raise OutsideRegion(f"end {end} is outside the region")
+        raise OutsideRegion(f"end {quote(end)} is outside the region")
     for p, name in ((start, "start"), (end, "end")):
         if p[0] in fx or p[1] in fy:
-            raise OnForbiddenLine(f"{name} {p} lies on a forbidden line")
+            raise OnForbiddenLine(f"{name} {quote(p)} lies on a forbidden line")
     if start == end:
         return SegPath(())
 

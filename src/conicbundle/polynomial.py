@@ -2,25 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
+from .errors import Value
 from .projline import Rat, clear_denominators, format_rat
 
 
-@dataclass(frozen=True)
-class RatPoly:
-    """Coefficients low-to-high with trailing zeros trimmed; () is zero."""
+class RatPoly(Value):
+    """Coefficients low-to-high with trailing zeros trimmed; () is zero.
 
-    coeffs: tuple
+    _cleared is (L, the integers L * coeffs, high to low) for L the lcm of
+    the denominators, which ratio_at evaluates."""
 
-    def __post_init__(self):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs]
+    __slots__ = ("coeffs", "_cleared")
+
+    def __init__(self, coeffs: tuple):
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        super().__init__(tuple(cs), (lcm(*(c.denominator for c in cs)),
+                                     clear_denominators(reversed(cs))))
 
     @staticmethod
     def zero() -> "RatPoly":
@@ -58,13 +60,6 @@ class RatPoly:
 
     __rmul__ = __mul__
 
-    @cached_property
-    def _cleared(self) -> tuple:
-        """(L, the integers L * coeffs, high to low) for L the lcm of the
-        denominators; computed once per polynomial, outside __eq__ and hash."""
-        return (lcm(*(c.denominator for c in self.coeffs)),
-                clear_denominators(reversed(self.coeffs)))
-
     def evaluate(self, x) -> Rat:
         return Fraction(*self.ratio_at(x))
 
@@ -91,20 +86,15 @@ class RatPoly:
 def solve_linear(rows: list, rhs: list) -> list:
     """Solve a square rational linear system by fraction-free elimination.
 
-    Each row is cleared to integers by its own lcm, and the scaled right-hand
-    side is put over one denominator D.  One-step Bareiss elimination (Math.
-    Comp. 22, 1968) follows.  Its division by the previous pivot is exact by
-    Sylvester's identity, as every entry is a minor of the row-permuted
-    matrix.  The last pivot det is that matrix's determinant, so by Cramer's
-    rule det * D * x_i is an integer and back-substitution divides exactly.
+    Each row, with its right-hand side, is cleared to integers by its own
+    lcm.  One-step Bareiss elimination (Math. Comp. 22, 1968) follows.  Its
+    division by the previous pivot is exact by Sylvester's identity, as every
+    entry is a minor of the row-permuted matrix.  The last pivot det is that
+    matrix's determinant, so by Cramer's rule det * x_i is an integer and
+    back-substitution divides exactly.
     """
     n = len(rows)
-    rows = [[v if isinstance(v, Fraction) else Fraction(v) for v in row] for row in rows]
-    aug = [list(clear_denominators(row)) for row in rows]
-    scaled = [Fraction(b) * lcm(*(v.denominator for v in row)) for row, b in zip(rows, rhs)]
-    den = lcm(*(b.denominator for b in scaled))
-    for row, b in zip(aug, clear_denominators(scaled)):
-        row.append(b)
+    aug = [list(clear_denominators([*row, b])) for row, b in zip(rows, rhs)]
     det = 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if aug[r][k]), None)
@@ -122,4 +112,4 @@ def solve_linear(rows: list, rhs: list) -> list:
         nums[i], rem = divmod(det * aug[i][n] - known, aug[i][i])
         if rem:
             raise AssertionError("inexact back-substitution")
-    return [Fraction(num, det * den) for num in nums]
+    return [Fraction(num, det) for num in nums]

@@ -13,12 +13,11 @@ understood as traversed in that direction from its start to its end.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Optional
 
-from .errors import InfiniteStabilizer, InvalidModel, InvalidTriple, ParseError, quote
+from .errors import InfiniteStabilizer, InvalidModel, InvalidTriple, ParseError, Value, quote
 
 Rat = Fraction
 
@@ -49,6 +48,11 @@ def format_rat(value: Rat) -> str:
     """Serialize a rational (or an int) as "p/q", omitting "/q" when q is 1."""
     text = _decimal(value.numerator)
     return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
+
+
+def quote_rat(value: Rat) -> str:
+    """A rational for an error message: format_rat, cut short by quote."""
+    return quote(value, format_rat(value))
 
 
 def _decimal(n: int) -> str:
@@ -207,23 +211,19 @@ def _legendre(a: int, b: int, c: int) -> Optional[bool]:
     return True
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(Value):
     """A point of P^1(Q) as a normalized integer pair (u0 : u1).
 
     Normalized means gcd(|u0|, |u1|) = 1 with the leading nonzero entry
     positive; infinity is (1 : 0).
     """
 
-    u0: int
-    u1: int
+    __slots__ = ("u0", "u1")
 
-    def __post_init__(self):
-        if self.u0 == 0 and self.u1 == 0:
+    def __init__(self, u0: int, u1: int):
+        if u0 == 0 and u1 == 0:
             raise InvalidModel("(0 : 0) is not a projective point")
-        u0, u1 = primitive(self.u0, self.u1)
-        object.__setattr__(self, "u0", u0)
-        object.__setattr__(self, "u1", u1)
+        super().__init__(*primitive(u0, u1))
 
     @staticmethod
     def from_rat(value: Rat) -> "ProjPoint":
@@ -282,8 +282,7 @@ def ladder(lo: Rat, hi: Rat) -> Iterator[list]:
         yield [Fraction(ad * (den - num) + cb * num, bd * den) for num in range(1, den)]
 
 
-@dataclass(frozen=True)
-class Moebius:
+class Moebius(Value):
     """An element of PGL_2(Q) as a normalized integer matrix [[a, b], [c, d]].
 
     Normalized means the four entries are coprime integers whose first
@@ -291,19 +290,12 @@ class Moebius:
     the induced circle map.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c == 0:
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if a * d - b * c == 0:
             raise InvalidModel("singular matrix does not define a Moebius map")
-        a, b, c, d = primitive(self.a, self.b, self.c, self.d)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        super().__init__(*primitive(a, b, c, d))
 
     @staticmethod
     def from_rational(a: Rat, b: Rat, c: Rat, d: Rat) -> "Moebius":
@@ -370,16 +362,15 @@ def _cross_pair(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> tuple
             (d.u0 * c.u1 - d.u1 * c.u0) * (b.u0 * a.u1 - b.u1 * a.u0))
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Value):
     """The closed arc from start to end in the positive orientation."""
 
-    start: ProjPoint
-    end: ProjPoint
+    __slots__ = ("start", "end")
 
-    def __post_init__(self):
-        if self.start == self.end:
+    def __init__(self, start: ProjPoint, end: ProjPoint):
+        if start == end:
             raise InvalidModel("an arc needs two distinct boundary points")
+        super().__init__(start, end)
 
     def contains(self, p: ProjPoint) -> bool:
         # a cyclic test: where _walk_key cuts the circle does not matter
@@ -410,8 +401,7 @@ def interval_image(m: Moebius, arc: Interval) -> Interval:
     return Interval(m.apply(arc.end), m.apply(arc.start))
 
 
-@dataclass(frozen=True)
-class IntervalConfig:
+class IntervalConfig(Value):
     """Pairwise disjoint closed arcs in canonical cyclic order.
 
     One walk decides both: the 2r boundary points sorted once, positively
@@ -423,10 +413,10 @@ class IntervalConfig:
     configurations are equal exactly when they are equal as sets of arcs.
     """
 
-    intervals: tuple
+    __slots__ = ("intervals", "_walk")
 
-    def __post_init__(self):
-        walk = sorted(((p, arc) for arc in self.intervals for p in (arc.start, arc.end)),
+    def __init__(self, intervals: tuple):
+        walk = sorted(((p, arc) for arc in intervals for p in (arc.start, arc.end)),
                       key=lambda step: _walk_key(step[0]))
         points = tuple(p for p, _ in walk)
         if len(set(points)) != len(points):
@@ -434,8 +424,7 @@ class IntervalConfig:
         for (p, a), (q, b) in zip(walk, walk[1:] + walk[:1]):
             if p == a.start and q != a.end:
                 raise InvalidModel(f"arcs {a} and {b} are not disjoint")
-        object.__setattr__(self, "intervals", tuple(dict.fromkeys(arc for _, arc in walk)))
-        object.__setattr__(self, "_walk", points)
+        super().__init__(tuple(dict.fromkeys(arc for _, arc in walk)), points)
 
     @property
     def r(self) -> int:

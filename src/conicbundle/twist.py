@@ -10,13 +10,12 @@ and is exactly invertible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .conic_model import ConicModel, SurfPoint, on_surface
+from .conic_model import ConicModel, SurfPoint, _quote_point, on_surface
 from .errors import (
     ChartPole,
     DuplicateNode,
@@ -27,21 +26,24 @@ from .errors import (
     NotOnSurface,
     PinCollision,
     SingularFiberTarget,
-    quote,
+    Value,
 )
 from .polynomial import RatPoly, solve_linear
-from .projline import Rat, _factor, clear_denominators, format_rat, ladder, primitive
+from .projline import Rat, _factor, clear_denominators, format_rat, ladder, primitive, quote_rat
 
 
-@dataclass(frozen=True, init=False)
-class Rotation:
+def _gauss_unit(q: int, p: int) -> tuple:
+    # q + ip made primitive; z = 0 (c = -1, a half-turn transport) is i
+    return primitive(q, p) if q or p else (0, 1)
+
+
+class Rotation(Value):
     """A rational rotation c + is, held as the primitive Gaussian integer
     z = q + ip (q > 0, or z = i) with c + is = z^2 / (q^2 + p^2).  By Hilbert
     90 for Q(i)/Q every rotation is such a z and every z != 0 a rotation, so
     no arithmetic below checks the circle; p/q is the half-angle tangent."""
 
-    q: int
-    p: int
+    __slots__ = ("q", "p")
 
     def __init__(self, c: Rat, s: Rat):
         """The rotation (c, s); the one check that c^2 + s^2 = 1."""
@@ -51,20 +53,15 @@ class Rotation:
         # k | h alike; hence h = k and a^2 + b^2 = h^2, and conversely.
         h = c.denominator
         if s.denominator != h or c.numerator ** 2 + s.numerator ** 2 != h * h:
-            raise InvalidModel(f"({quote(c, format_rat(c))}, {quote(s, format_rat(s))})"
-                               " is not on the unit circle")
+            raise InvalidModel(f"({quote_rat(c)}, {quote_rat(s)}) is not on the unit circle")
         # z = (h + a) + ib: (h + a)^2 - b^2 = 2a(h + a) and N(z) = 2h(h + a)
-        z = Rotation._of(h + c.numerator, s.numerator)
-        object.__setattr__(self, "q", z.q)
-        object.__setattr__(self, "p", z.p)
+        Value.__init__(self, *_gauss_unit(h + c.numerator, s.numerator))
 
     @classmethod
     def _of(cls, q: int, p: int) -> "Rotation":
-        """The rotation of z = q + ip, unchecked; z = 0 (c = -1, a half-turn transport) is i."""
-        rot = object.__new__(cls)
-        q, p = primitive(q, p) if q or p else (0, 1)
-        object.__setattr__(rot, "q", q)
-        object.__setattr__(rot, "p", p)
+        """The rotation of z = q + ip, unchecked."""
+        rot = cls.__new__(cls)
+        Value.__init__(rot, *_gauss_unit(q, p))
         return rot
 
     @staticmethod
@@ -108,13 +105,13 @@ def rotation_between(model: ConicModel, x: Rat, frm: Tuple[Rat, Rat],
     """The rotation of the fiber circle over x sending frm to to."""
     rho = model.q_at(x)
     if rho <= 0:
-        raise EmptyOrSingularFiber(f"Q({x}) = {rho} <= 0")
+        raise EmptyOrSingularFiber(f"Q({quote_rat(x)}) = {quote_rat(rho)} <= 0")
     y, z = Fraction(frm[0]), Fraction(frm[1])
     v, w = Fraction(to[0]), Fraction(to[1])
-    if y * y + z * z != rho:
-        raise NotOnFiber(f"({y}, {z}) is not on the circle of radius^2 {rho}")
-    if v * v + w * w != rho:
-        raise NotOnFiber(f"({v}, {w}) is not on the circle of radius^2 {rho}")
+    for a, b in ((y, z), (v, w)):
+        if a * a + b * b != rho:
+            raise NotOnFiber(f"({quote_rat(a)}, {quote_rat(b)}) is not on the circle"
+                             f" of radius^2 {quote_rat(rho)}")
     # (v + iw)(y - iz) = rho (c + is), and rho (1 + c + is) is a real multiple
     # of the rotation's Gaussian integer; it is 0 exactly for the half turn.
     return Rotation._of(*clear_denominators((rho + y * v + z * w, y * w - z * v)))
@@ -147,7 +144,7 @@ def interpolate(nodes: Sequence) -> RatPoly:
         x, value = Fraction(node[0]), Fraction(node[1])
         deriv = Fraction(node[2]) if len(node) > 2 and node[2] is not None else None
         if x in xs:
-            raise DuplicateNode(f"repeated interpolation node x = {x}")
+            raise DuplicateNode(f"repeated interpolation node x = {quote_rat(x)}")
         xs.append(x)
         equations.append(("v", x, value))
         if deriv is not None:
@@ -165,12 +162,10 @@ def interpolate(nodes: Sequence) -> RatPoly:
     return RatPoly(tuple(solve_linear(rows, rhs)))
 
 
-@dataclass(frozen=True)
-class TwistMap:
+class TwistMap(Value):
     """base rotation R0 and interpolant lambda; fiber map R0 * psi(lambda(x))."""
 
-    base: Rotation
-    lam: RatPoly
+    __slots__ = ("base", "lam")
 
     def fiber_rotation(self, x: Rat) -> Rotation:
         # psi(num/den) is the Gaussian integer den + i num
@@ -196,9 +191,9 @@ def twist_from_rotations(model: ConicModel, rotation_nodes: Sequence,
     for x, rot in rotation_nodes:
         x = Fraction(x)
         if model.q_at(x) <= 0:
-            raise SingularFiberTarget(f"Q({x}) <= 0: no circle to rotate")
+            raise SingularFiberTarget(f"Q({quote_rat(x)}) <= 0: no circle to rotate")
         if x in node_xs:
-            raise DuplicateNode(f"two rotations prescribed over x = {x}")
+            raise DuplicateNode(f"two rotations prescribed over x = {quote_rat(x)}")
         node_xs.append(x)
         rotations.append(rot)
 
@@ -207,11 +202,11 @@ def twist_from_rotations(model: ConicModel, rotation_nodes: Sequence,
     for x0, mu0 in jets:
         x0, mu0 = Fraction(x0), Fraction(mu0)
         if x0 in node_xs:
-            raise PinCollision(f"jet node x = {x0} collides with a transported fiber")
+            raise PinCollision(f"jet node x = {quote_rat(x0)} collides with a transported fiber")
         if x0 in jet_xs:
-            raise DuplicateNode(f"two jets prescribed at x = {x0}")
+            raise DuplicateNode(f"two jets prescribed at x = {quote_rat(x0)}")
         if model.q_at(x0) <= 0:
-            raise EmptyOrSingularFiber(f"jet fiber Q({x0}) <= 0")
+            raise EmptyOrSingularFiber(f"jet fiber Q({quote_rat(x0)}) <= 0")
         jet_xs.append(x0)
         jet_list.append((x0, mu0))
 
@@ -219,9 +214,9 @@ def twist_from_rotations(model: ConicModel, rotation_nodes: Sequence,
     for b in pins:
         b = Fraction(b)
         if b in node_xs:
-            raise PinCollision(f"pin x = {b} collides with a transported fiber")
+            raise PinCollision(f"pin x = {quote_rat(b)} collides with a transported fiber")
         if model.q_at(b) < 0:
-            raise EmptyOrSingularFiber(f"pin x = {b} is outside the interval image")
+            raise EmptyOrSingularFiber(f"pin x = {quote_rat(b)} is outside the interval image")
         if b not in pin_list and b not in jet_xs:
             pin_list.append(b)
 
@@ -255,14 +250,14 @@ def synthesize_twist(model: ConicModel, pairs: Sequence,
     """
     rotation_nodes = []
     for p, q in pairs:
-        if not on_surface(model, p):
-            raise NotOnSurface(f"source point ({p.x}, {p.y}, {p.z}) is off the surface")
-        if not on_surface(model, q):
-            raise NotOnSurface(f"target point ({q.x}, {q.y}, {q.z}) is off the surface")
+        for role, point in (("source", p), ("target", q)):
+            if not on_surface(model, point):
+                raise NotOnSurface(f"{role} point {_quote_point(point)} is off the surface")
         if p.x != q.x:
-            raise FiberMismatch(f"pair spans two fibers: x = {p.x} vs x = {q.x}")
+            raise FiberMismatch(f"pair spans two fibers: x = {quote_rat(p.x)}"
+                                f" vs x = {quote_rat(q.x)}")
         if model.q_at(p.x) <= 0:
-            raise SingularFiberTarget(f"Q({p.x}) <= 0: transport needs a circle")
+            raise SingularFiberTarget(f"Q({quote_rat(p.x)}) <= 0: transport needs a circle")
         rotation_nodes.append((p.x, rotation_between(model, p.x, (p.y, p.z), (q.y, q.z))))
     return twist_from_rotations(model, rotation_nodes, pins=pins, jets=jets)
 
@@ -270,7 +265,7 @@ def synthesize_twist(model: ConicModel, pairs: Sequence,
 def apply_twist(model: ConicModel, twist: TwistMap, p: SurfPoint) -> SurfPoint:
     """Rotate the point within its fiber; exact and surface-preserving."""
     if not on_surface(model, p):
-        raise NotOnSurface(f"({p.x}, {p.y}, {p.z}) is not on the surface")
+        raise NotOnSurface(f"{_quote_point(p)} is not on the surface")
     y, z = twist.fiber_rotation(p.x).apply(p.y, p.z)
     return SurfPoint(p.x, y, z)
 
@@ -406,13 +401,10 @@ def sample_surface_points(model: ConicModel) -> list:
     return points
 
 
-@dataclass(frozen=True)
-class TwistReport:
+class TwistReport(Value):
     """Outcome of the exactness certificate for a twisting map."""
 
-    passed: bool
-    failures: tuple
-    points_checked: int
+    __slots__ = ("passed", "failures", "points_checked")
 
     def as_json(self) -> dict:
         return {"passed": self.passed, "failures": list(self.failures),

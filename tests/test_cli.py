@@ -343,20 +343,38 @@ def test_json_integer_past_the_digit_limit_is_a_schema_error(capsys, command, pa
     assert "digit limit" in report["message"] and len(report["message"]) < 100, report
 
 
-@pytest.mark.parametrize("command, payload, field, size", [
-    ("stabilizer", {"points": [LONG + "x", "0", "1"]}, "points[0]", 5002),
+# a value of 4,000 digits, short enough to parse
+BIG = LONG[:4000]
+
+
+# Each case gives the error, with its field for a schema error, and the size
+# of the quoted text: the token, or the repr of the value that holds it.
+@pytest.mark.parametrize("command, payload, error, field, size", [
+    ("stabilizer", {"points": [LONG + "x", "0", "1"]}, "schema", "points[0]", 5002),
     ("geiser", {"model": BICONIC, "point": {"xyz": [LONG + "x", "0", "1"], "t": ["1", "2"]}},
-     "point.xyz[0]", 5002),
-    # an off-circle base c of 4,000 digits, short enough to parse
-    ("verify-twist", {"model": UNIT, "twist": {"base": {"c": LONG[:4000], "s": "1"}, "lambda": []}},
-     "twist.base", 4000),
-], ids=["stabilizer-point", "geiser-xyz", "off-circle-base"])
-def test_a_long_rejected_token_is_quoted_short(capsys, command, payload, field, size):
+     "schema", "point.xyz[0]", 5002),
+    ("verify-twist", {"model": UNIT, "twist": {"base": {"c": BIG, "s": "1"}, "lambda": []}},
+     "schema", "twist.base", 4000),
+    ("twist", {"model": UNIT, "pairs": [[{"x": "1/2", "y": BIG, "z": "0"},
+                                         {"x": "1/2", "y": "1/2", "z": "0"}]]},
+     "NotOnSurface", None, 4000),
+    ("twist", {"model": UNIT, "pins": [BIG]}, "EmptyOrSingularFiber", None, 4000),
+    ("twist", {"model": UNIT, "jets": [[BIG, "0"]]}, "EmptyOrSingularFiber", None, 4000),
+    ("decide-verytransitive",
+     {"model": {"roots": ["0", "1"], "marks": [{"x": BIG, "y": "0", "z": "0"}]}},
+     "NotOnSurface", None, 4000),
+    ("geiser", {"model": BICONIC, "point": {"xyz": [BIG, "0", "1"], "t": ["1", "2"]}},
+     "NotOnSurface", None, len(f"({BIG}, 0, 1)")),
+    ("region-path", {"rects": [[["0", "1"], ["0", "1"]]], "start": [BIG, "0"], "end": ["1", "1"]},
+     "OutsideRegion", None, len(f"(Fraction({BIG}, 1), Fraction(0, 1))")),
+], ids=["stabilizer-point", "geiser-xyz", "off-circle-base", "off-surface-source", "pin", "jet",
+        "mark", "geiser-point", "region-start"])
+def test_a_long_rejected_token_is_quoted_short(capsys, command, payload, error, field, size):
     code, out, err = invoke(capsys, command, payload)
     assert code == 2 and out is None
     assert len(err.encode()) < 300, err
     report = json.loads(err)
-    assert (report["error"], report["field"]) == ("schema", field), report
+    assert (report["error"], report.get("field")) == (error, field), report
     assert f"({size} characters)" in report["message"], report
 
 

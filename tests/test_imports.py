@@ -2,9 +2,11 @@
 
 A CLI process (`python -m conicbundle.cli`, run here through runpy as
 __main__) loads only the library modules of its subcommand; importing
-conicbundle.cli binds every layer; importing the package loads none.  A
-caller that purges `conicbundle*` from sys.modules and re-imports, as the
-benchmark's set-up does, keeps a working first copy of the CLI.
+conicbundle.cli binds every layer; importing the package loads none.  No
+fresh process loads `dataclasses` or `inspect`, which the value classes do
+without.  A caller that purges `conicbundle*` from sys.modules and
+re-imports, as the benchmark's set-up does, keeps a working first copy of
+the CLI.
 """
 
 import importlib
@@ -36,22 +38,30 @@ LOADED = {
     "selftest": ALWAYS | LAYERS,
 }
 
+# standard modules that building a dataclass loads, and no process needs
+MACHINERY = {"dataclasses", "inspect"}
+
 # Runs the statement `run` in a fresh interpreter, then writes the names of
-# the loaded conicbundle modules to stderr, which a golden request leaves empty.
+# the loaded conicbundle and MACHINERY modules to stderr, which a golden
+# request leaves empty.
 FRESH = """
 import json, sys
 try:
     {run}
 finally:
     sys.stderr.write(json.dumps(sorted(
-        n for n in sys.modules if n.partition(".")[0] == "conicbundle")))
+        n for n in sys.modules if n.partition(".")[0] in {watched!r})))
 """
 
 
 def fresh(run, argv=(), stdin=None):
-    """(exit code, stdout, loaded conicbundle modules) of a fresh interpreter."""
-    proc = support.run_python("-c", FRESH.format(run=run), *argv, stdin=stdin)
-    return proc.returncode, proc.stdout, set(json.loads(proc.stderr))
+    """(exit code, stdout, loaded conicbundle modules) of a fresh interpreter,
+    which must not have loaded a MACHINERY module."""
+    proc = support.run_python("-c", FRESH.format(run=run, watched=("conicbundle", *MACHINERY)),
+                              *argv, stdin=stdin)
+    loaded = set(json.loads(proc.stderr))
+    assert not loaded & MACHINERY, sorted(loaded & MACHINERY)
+    return proc.returncode, proc.stdout, loaded
 
 
 def one_request_per_subcommand():

@@ -3,9 +3,11 @@
 Postconditions must survive `python -O`, which strips assert statements, the
 runtime depends on the standard library only, and the arithmetic is exact:
 no float literal and no use of the name `float`.  Memory stays per request:
-no process-wide memo (`functools.cache`, `functools.lru_cache`; a per-instance
-`cached_property` is fine).  Fractions are built through their public
-constructor only: the private `_normalize` argument is gone in Python 3.12.
+no process-wide memo (`functools.cache`, `functools.lru_cache`).  Fractions
+are built through their public constructor only: the private `_normalize`
+argument is gone in Python 3.12.  Every value class derives from
+`errors.Value`, whose `__init__` is the one writer of a slot: no dataclass,
+and no `cached_property` (a constructor computes what its value derives).
 """
 
 import ast
@@ -82,3 +84,19 @@ def test_no_private_fraction_argument():
              for node in ast.walk(tree)
              if isinstance(node, ast.keyword) and node.arg == "_normalize"]
     assert found == []
+
+
+def _writes_a_slot(fn):
+    return any(isinstance(n, ast.Attribute) and n.attr == "__setattr__"
+               and isinstance(n.value, ast.Name) and n.value.id == "object"
+               for n in ast.walk(fn))
+
+
+def test_values_have_one_writer():
+    found = [f"{name}:{node.lineno}" for name, tree in _trees() for node in ast.walk(tree)
+             if "dataclasses" in _imported_roots(node)
+             or isinstance(node, ast.Name) and node.id == "cached_property"
+             or isinstance(node, ast.Attribute) and node.attr == "cached_property"]
+    writers = [f"{name}:{fn.name}" for name, tree in _trees() for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and _writes_a_slot(fn)]
+    assert found == [] and writers == ["errors.py:__init__"]
