@@ -73,10 +73,9 @@ class SurfPoint(Value):
     def __init__(self, x: Rat, y: Rat, z: Rat):
         super().__init__(*[v if isinstance(v, Fraction) else Fraction(v) for v in (x, y, z)])
 
-
-def _quote_point(p: SurfPoint) -> str:
-    # (x, y, z) for an error message, each coordinate cut short by quote
-    return f"({quote_rat(p.x)}, {quote_rat(p.y)}, {quote_rat(p.z)})"
+    def quoted(self) -> str:
+        """(x, y, z) for an error message, each coordinate cut short by quote."""
+        return f"({quote_rat(self.x)}, {quote_rat(self.y)}, {quote_rat(self.z)})"
 
 
 def on_surface(model: ConicModel, p: SurfPoint) -> bool:
@@ -92,7 +91,7 @@ def interval_image(model: ConicModel) -> IntervalConfig:
 def component_index(model: ConicModel, p: SurfPoint) -> int:
     """1-based index of the interval [a_{2i-1}, a_{2i}] containing x."""
     if not on_surface(model, p):
-        raise NotOnSurface(f"{_quote_point(p)} is not on the surface")
+        raise NotOnSurface(f"{p.quoted()} is not on the surface")
     for i in range(model.r):
         if model.roots[2 * i] <= p.x <= model.roots[2 * i + 1]:
             return i + 1
@@ -110,7 +109,7 @@ class MarkedModel(Value):
             raise InvalidModel("marks must be pairwise distinct")
         for p in marks:
             if not on_surface(model, p):
-                raise NotOnSurface(f"mark {_quote_point(p)} is off the surface")
+                raise NotOnSurface(f"mark {p.quoted()} is off the surface")
         super().__init__(model, marks)
 
     def mark_counts(self) -> tuple:

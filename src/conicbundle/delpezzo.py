@@ -43,6 +43,7 @@ from .projline import (
     ladder,
     moebius_from_triples,
     primitive,
+    quote_rat,
 )
 
 
@@ -173,7 +174,8 @@ def biconic_interval_image(model: BiconicModel) -> IntervalConfig:
         elif d > 0:
             sq = isqrt(d)
             if sq * sq != d:
-                raise IrrationalBoundary(f"form has irrational real roots (disc {form.disc})")
+                raise IrrationalBoundary("form has irrational real roots"
+                                         f" (disc {quote_rat(form.disc)})")
             roots += [ProjPoint(-be + sq, 2 * al), ProjPoint(-be - sq, 2 * al)]
     roots.sort(key=_walk_key)
     n = len(roots)

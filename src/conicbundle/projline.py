@@ -423,7 +423,7 @@ class IntervalConfig(Value):
             raise InvalidModel("boundary points of a configuration must be distinct")
         for (p, a), (q, b) in zip(walk, walk[1:] + walk[:1]):
             if p == a.start and q != a.end:
-                raise InvalidModel(f"arcs {a} and {b} are not disjoint")
+                raise InvalidModel(f"arcs {quote(a)} and {quote(b)} are not disjoint")
         super().__init__(tuple(dict.fromkeys(arc for _, arc in walk)), points)
 
     @property

@@ -15,7 +15,7 @@ from itertools import count, islice
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .conic_model import ConicModel, SurfPoint, _quote_point, on_surface
+from .conic_model import ConicModel, SurfPoint, on_surface
 from .errors import (
     ChartPole,
     DuplicateNode,
@@ -30,11 +30,6 @@ from .errors import (
 )
 from .polynomial import RatPoly, solve_linear
 from .projline import Rat, _factor, clear_denominators, format_rat, ladder, primitive, quote_rat
-
-
-def _gauss_unit(q: int, p: int) -> tuple:
-    # q + ip made primitive; z = 0 (c = -1, a half-turn transport) is i
-    return primitive(q, p) if q or p else (0, 1)
 
 
 class Rotation(Value):
@@ -55,13 +50,13 @@ class Rotation(Value):
         if s.denominator != h or c.numerator ** 2 + s.numerator ** 2 != h * h:
             raise InvalidModel(f"({quote_rat(c)}, {quote_rat(s)}) is not on the unit circle")
         # z = (h + a) + ib: (h + a)^2 - b^2 = 2a(h + a) and N(z) = 2h(h + a)
-        Value.__init__(self, *_gauss_unit(h + c.numerator, s.numerator))
+        super().__init__(*Rotation._of(h + c.numerator, s.numerator)._key)
 
     @classmethod
     def _of(cls, q: int, p: int) -> "Rotation":
-        """The rotation of z = q + ip, unchecked."""
+        """The rotation of z = q + ip, unchecked; z = 0 (c = -1, a half-turn transport) is i."""
         rot = cls.__new__(cls)
-        Value.__init__(rot, *_gauss_unit(q, p))
+        Value.__init__(rot, *(primitive(q, p) if q or p else (0, 1)))
         return rot
 
     @staticmethod
@@ -252,7 +247,7 @@ def synthesize_twist(model: ConicModel, pairs: Sequence,
     for p, q in pairs:
         for role, point in (("source", p), ("target", q)):
             if not on_surface(model, point):
-                raise NotOnSurface(f"{role} point {_quote_point(point)} is off the surface")
+                raise NotOnSurface(f"{role} point {point.quoted()} is off the surface")
         if p.x != q.x:
             raise FiberMismatch(f"pair spans two fibers: x = {quote_rat(p.x)}"
                                 f" vs x = {quote_rat(q.x)}")
@@ -265,7 +260,7 @@ def synthesize_twist(model: ConicModel, pairs: Sequence,
 def apply_twist(model: ConicModel, twist: TwistMap, p: SurfPoint) -> SurfPoint:
     """Rotate the point within its fiber; exact and surface-preserving."""
     if not on_surface(model, p):
-        raise NotOnSurface(f"{_quote_point(p)} is not on the surface")
+        raise NotOnSurface(f"{p.quoted()} is not on the surface")
     y, z = twist.fiber_rotation(p.x).apply(p.y, p.z)
     return SurfPoint(p.x, y, z)
 

@@ -367,8 +367,13 @@ BIG = LONG[:4000]
      "NotOnSurface", None, len(f"({BIG}, 0, 1)")),
     ("region-path", {"rects": [[["0", "1"], ["0", "1"]]], "start": [BIG, "0"], "end": ["1", "1"]},
      "OutsideRegion", None, len(f"(Fraction({BIG}, 1), Fraction(0, 1))")),
+    ("realizable-perms", {"config": [["0", BIG], ["1", "2"]]}, "InvalidModel", None,
+     len(f"Interval[0, {BIG}]")),
+    # disc = 4 * 10^3999 - 12 of m1 = a^2 - (10^3999 - 3) b^2
+    ("biconic-image", {"model": dict(BICONIC, m1=["1", "0", str(3 - 10 ** 3999)])},
+     "IrrationalBoundary", None, 4000),
 ], ids=["stabilizer-point", "geiser-xyz", "off-circle-base", "off-surface-source", "pin", "jet",
-        "mark", "geiser-point", "region-start"])
+        "mark", "geiser-point", "region-start", "overlapping-arcs", "irrational-disc"])
 def test_a_long_rejected_token_is_quoted_short(capsys, command, payload, error, field, size):
     code, out, err = invoke(capsys, command, payload)
     assert code == 2 and out is None
