@@ -68,6 +68,16 @@ class _LongInt:
             return _LongInt()
 
 
+_REPEATED = object()  # the value of a key that a JSON object repeats: _field rejects it
+
+
+def _object(pairs: list) -> dict:
+    obj, seen = dict(pairs), set()
+    if len(obj) < len(pairs):
+        obj.update((key, _REPEATED) for key, _ in pairs if key in seen or seen.add(key))
+    return obj
+
+
 def _int(value, path: str) -> int:
     # bool is a subclass of int, but true is not a number
     if not isinstance(value, int) or isinstance(value, bool):
@@ -120,6 +130,8 @@ def _field(obj, path: str, key: str, decode, default=None):
         if default is None:
             raise SchemaError(sub, "missing required field")
         return default
+    if obj[key] is _REPEATED:
+        raise SchemaError(sub, "duplicate key")
     return decode(obj[key], sub)
 
 
@@ -439,7 +451,7 @@ def run(argv) -> int:
             code = 0 if obj["passed"] else 1
         else:
             try:
-                request = json.loads(raw, parse_int=_LongInt.parse)
+                request = json.loads(raw, parse_int=_LongInt.parse, object_pairs_hook=_object)
             except RecursionError:  # no line or column is known
                 sys.stderr.write(_dump({"error": "malformed-json", "message": "nested too deeply"}))
                 return 2

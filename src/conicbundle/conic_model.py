@@ -78,9 +78,15 @@ class SurfPoint(Value):
         return f"({quote_rat(self.x)}, {quote_rat(self.y)}, {quote_rat(self.z)})"
 
 
+def on_circle(num: int, den: int, y: Rat, z: Rat) -> bool:
+    """y^2 + z^2 = num/den (den > 0), cross-multiplied in integers."""
+    (a, b), (c, d) = y.as_integer_ratio(), z.as_integer_ratio()
+    return ((a * d) ** 2 + (c * b) ** 2) * den == num * (b * d) ** 2
+
+
 def on_surface(model: ConicModel, p: SurfPoint) -> bool:
     """Exact membership test y^2 + z^2 - Q(x) = 0."""
-    return p.y * p.y + p.z * p.z == model.q_at(p.x)
+    return on_circle(*model.q_ratio(p.x), p.y, p.z)
 
 
 def interval_image(model: ConicModel) -> IntervalConfig:

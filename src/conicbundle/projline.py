@@ -90,9 +90,9 @@ def clear_denominators(values) -> tuple:
     Neither divides by the gcd nor changes the sign: the sign of a cleared
     form can carry meaning (see delpezzo._interval_form).
     """
-    values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
-    m = lcm(*(v.denominator for v in values))
-    return tuple([v.numerator * (m // v.denominator) for v in values])
+    ratios = [v.as_integer_ratio() for v in values]
+    m = lcm(*(d for _, d in ratios))
+    return tuple([n * (m // d) for n, d in ratios])
 
 
 # Trial division runs to _TRIAL_BOUND; as 2155^3 > 10^10, a cofactor of

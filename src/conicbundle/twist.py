@@ -15,7 +15,7 @@ from itertools import count, islice
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .conic_model import ConicModel, SurfPoint, on_surface
+from .conic_model import ConicModel, SurfPoint, on_circle, on_surface
 from .errors import (
     ChartPole,
     DuplicateNode,
@@ -29,7 +29,7 @@ from .errors import (
     Value,
 )
 from .polynomial import RatPoly, solve_linear
-from .projline import Rat, _factor, clear_denominators, format_rat, ladder, primitive, quote_rat
+from .projline import Rat, _factor, format_rat, ladder, primitive, quote_rat
 
 
 class Rotation(Value):
@@ -79,8 +79,7 @@ class Rotation(Value):
     def apply(self, y: Rat, z: Rat) -> Tuple[Rat, Rat]:
         # (c y - s z, s y + c z) over one denominator, c = a/h and s = b/h unreduced
         a, b, h = self.q ** 2 - self.p ** 2, 2 * self.q * self.p, self.q ** 2 + self.p ** 2
-        y1, y2 = y.as_integer_ratio()
-        z1, z2 = z.as_integer_ratio()
+        (y1, y2), (z1, z2) = y.as_integer_ratio(), z.as_integer_ratio()
         u, v, w = y1 * z2, z1 * y2, h * y2 * z2
         return Fraction(a * u - b * v, w), Fraction(b * u + a * v, w)
 
@@ -98,18 +97,24 @@ def rotation_from_param(lam: Rat) -> Rotation:
 def rotation_between(model: ConicModel, x: Rat, frm: Tuple[Rat, Rat],
                      to: Tuple[Rat, Rat]) -> Rotation:
     """The rotation of the fiber circle over x sending frm to to."""
-    rho = model.q_at(x)
-    if rho <= 0:
-        raise EmptyOrSingularFiber(f"Q({quote_rat(x)}) = {quote_rat(rho)} <= 0")
-    y, z = Fraction(frm[0]), Fraction(frm[1])
-    v, w = Fraction(to[0]), Fraction(to[1])
-    for a, b in ((y, z), (v, w)):
-        if a * a + b * b != rho:
+    num, den = model.q_ratio(x)
+    if num <= 0:
+        raise EmptyOrSingularFiber(f"Q({quote_rat(x)}) = {quote_rat(Fraction(num, den))} <= 0")
+    for a, b in (frm, to):
+        if not on_circle(num, den, a, b):
             raise NotOnFiber(f"({quote_rat(a)}, {quote_rat(b)}) is not on the circle"
-                             f" of radius^2 {quote_rat(rho)}")
-    # (v + iw)(y - iz) = rho (c + is), and rho (1 + c + is) is a real multiple
-    # of the rotation's Gaussian integer; it is 0 exactly for the half turn.
-    return Rotation._of(*clear_denominators((rho + y * v + z * w, y * w - z * v)))
+                             f" of radius^2 {quote_rat(Fraction(num, den))}")
+    return _transport(num, den, frm, to)
+
+
+def _transport(num: int, den: int, frm: Tuple[Rat, Rat], to: Tuple[Rat, Rat]) -> Rotation:
+    # Unchecked.  (v + iw)(y - iz) = rho (c + is) for rho = num/den; rho (1 + c + is),
+    # 0 exactly for the half turn, times den y2 z2 v2 w2 > 0 is an integer multiple of z.
+    (y1, y2), (z1, z2) = frm[0].as_integer_ratio(), frm[1].as_integer_ratio()
+    (v1, v2), (w1, w2) = to[0].as_integer_ratio(), to[1].as_integer_ratio()
+    yv, zw = y2 * v2, z2 * w2
+    return Rotation._of(num * yv * zw + den * (y1 * v1 * zw + z1 * w1 * yv),
+                        den * (y1 * w1 * z2 * v2 - z1 * v1 * y2 * w2))
 
 
 def chart_param(base: Rotation, phi: Rotation) -> Rat:
@@ -132,28 +137,24 @@ def interpolate(nodes: Sequence) -> RatPoly:
 
     Nodes are (x, value) or (x, value, derivative) with pairwise distinct x.
     """
-    xs = []
-    equations = []
-    rhs = []
+    n = sum(2 if len(node) > 2 and node[2] is not None else 1 for node in nodes)
+    if n == 0:
+        return RatPoly.zero()
+    xs, rows, rhs = [], [], []
     for node in nodes:
-        x, value = Fraction(node[0]), Fraction(node[1])
+        x, value = (v if isinstance(v, Fraction) else Fraction(v) for v in node[:2])
         deriv = Fraction(node[2]) if len(node) > 2 and node[2] is not None else None
         if x in xs:
             raise DuplicateNode(f"repeated interpolation node x = {quote_rat(x)}")
         xs.append(x)
-        equations.append(("v", x, value))
+        # the rows of x^j and j x^(j - 1), and their targets, times q^(n - 1) for x = p/q
+        p, q = x.as_integer_ratio()
+        row = [p ** j * q ** (n - 1 - j) for j in range(n)]
+        rows.append(row)
+        rhs.append(value * row[0])
         if deriv is not None:
-            equations.append(("d", x, deriv))
-    n = len(equations)
-    if n == 0:
-        return RatPoly.zero()
-    rows = []
-    for kind, x, target in equations:
-        if kind == "v":
-            rows.append([x ** j for j in range(n)])
-        else:
-            rows.append([(j * x ** (j - 1)) if j >= 1 else Fraction(0) for j in range(n)])
-        rhs.append(target)
+            rows.append([0, *(j * v for j, v in enumerate(row[:-1], 1))])
+            rhs.append(deriv * row[0])
     return RatPoly(tuple(solve_linear(rows, rhs)))
 
 
@@ -181,26 +182,24 @@ def twist_from_rotations(model: ConicModel, rotation_nodes: Sequence,
     together with tangent coefficient 2*mu0 (the x-derivative of the sine
     entry of the fiber rotation).
     """
-    node_xs = []
-    rotations = []
+    node_xs, rotations = [], []
     for x, rot in rotation_nodes:
         x = Fraction(x)
-        if model.q_at(x) <= 0:
+        if model.q_ratio(x)[0] <= 0:
             raise SingularFiberTarget(f"Q({quote_rat(x)}) <= 0: no circle to rotate")
         if x in node_xs:
             raise DuplicateNode(f"two rotations prescribed over x = {quote_rat(x)}")
         node_xs.append(x)
         rotations.append(rot)
 
-    jet_list = []
-    jet_xs = []
+    jet_list, jet_xs = [], []
     for x0, mu0 in jets:
         x0, mu0 = Fraction(x0), Fraction(mu0)
         if x0 in node_xs:
             raise PinCollision(f"jet node x = {quote_rat(x0)} collides with a transported fiber")
         if x0 in jet_xs:
             raise DuplicateNode(f"two jets prescribed at x = {quote_rat(x0)}")
-        if model.q_at(x0) <= 0:
+        if model.q_ratio(x0)[0] <= 0:
             raise EmptyOrSingularFiber(f"jet fiber Q({quote_rat(x0)}) <= 0")
         jet_xs.append(x0)
         jet_list.append((x0, mu0))
@@ -210,7 +209,7 @@ def twist_from_rotations(model: ConicModel, rotation_nodes: Sequence,
         b = Fraction(b)
         if b in node_xs:
             raise PinCollision(f"pin x = {quote_rat(b)} collides with a transported fiber")
-        if model.q_at(b) < 0:
+        if model.q_ratio(b)[0] < 0:
             raise EmptyOrSingularFiber(f"pin x = {quote_rat(b)} is outside the interval image")
         if b not in pin_list and b not in jet_xs:
             pin_list.append(b)
@@ -245,15 +244,18 @@ def synthesize_twist(model: ConicModel, pairs: Sequence,
     """
     rotation_nodes = []
     for p, q in pairs:
-        for role, point in (("source", p), ("target", q)):
-            if not on_surface(model, point):
+        num, den = model.q_ratio(p.x)  # once per pair; a target off p's fiber reads its own
+        same = q.x == p.x
+        for role, point, fiber in (("source", p, (num, den)),
+                                   ("target", q, (num, den) if same else model.q_ratio(q.x))):
+            if not on_circle(*fiber, point.y, point.z):
                 raise NotOnSurface(f"{role} point {point.quoted()} is off the surface")
-        if p.x != q.x:
+        if not same:
             raise FiberMismatch(f"pair spans two fibers: x = {quote_rat(p.x)}"
                                 f" vs x = {quote_rat(q.x)}")
-        if model.q_at(p.x) <= 0:
+        if num <= 0:
             raise SingularFiberTarget(f"Q({quote_rat(p.x)}) <= 0: transport needs a circle")
-        rotation_nodes.append((p.x, rotation_between(model, p.x, (p.y, p.z), (q.y, q.z))))
+        rotation_nodes.append((p.x, _transport(num, den, (p.y, p.z), (q.y, q.z))))
     return twist_from_rotations(model, rotation_nodes, pins=pins, jets=jets)
 
 

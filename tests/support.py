@@ -6,8 +6,9 @@ verify each candidate on the whole set, the planner oracle is a plain
 flood fill over a boolean grid, and the interpolation oracle builds a Hermite
 divided-difference table instead of solving the library's confluent
 Vandermonde system.  The Fraction references at the end are the
-Fraction-by-Fraction forms of the integer kernels of the fiber layers and of
-the linear solver, and the map-building forms of the Moebius witness search.
+Fraction-by-Fraction forms of the integer kernels of the fiber layers (among
+them surface membership and the transport rotation) and of the linear
+solver, and the map-building forms of the Moebius witness search.
 The pairwise disjointness check and the gap-run walk are the references for
 the boundary walk that IntervalConfig and biconic_interval_image share, and
 the polyline merge is the reference for the planner's corners.  The
@@ -37,6 +38,7 @@ from conicbundle import (
     Region,
     Segment,
     SegPath,
+    SurfPoint,
     moebius_from_triples,
     parse_rat,
     validate_path,
@@ -44,18 +46,27 @@ from conicbundle import (
 from conicbundle.delpezzo import BiPoint
 from conicbundle.errors import (
     DuplicateNode,
+    EmptyOrSingularFiber,
     ImageIsWholeLine,
     InfiniteStabilizer,
     InvalidModel,
     InvalidTriple,
     IrrationalBoundary,
+    NotOnFiber,
     NotOnSurface,
     OnForbiddenLine,
     OutsideRegion,
     Unsupported,
 )
-from conicbundle.projline import LADDER, Interval, ProjPoint, _walk_key, clear_denominators
-from conicbundle.twist import ladder_fibers
+from conicbundle.projline import (
+    LADDER,
+    Interval,
+    ProjPoint,
+    _walk_key,
+    clear_denominators,
+    quote_rat,
+)
+from conicbundle.twist import Rotation, ladder_fibers
 
 
 def moebius_from_json(obj):
@@ -220,6 +231,40 @@ def random_model(rng, r, low=-8, high=8):
     return ConicModel(tuple(sorted(Fraction(a) for a in roots)))
 
 
+def model_through_point(rng, r, height, zero_share=0.2):
+    """A model with r intervals and a rational point (x, y, z) on its surface,
+    built from the point and never from a point search.
+
+    Roots a1 < x and 2r - 2 roots beyond x are drawn; with P the product of
+    (a - x) over the latter, Q(x) = (x - a1)(a2 - x) P is y^2 + z^2 for
+    a2 = x + (y^2 + z^2) / ((x - a1) P), kept when it is below the others.
+    So the point lies in the first interval, on its root a2 when y = z = 0;
+    half the models are mirrored (x -> -x), which puts it in the last one.
+    """
+    def rat():
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+    def gap():
+        return Fraction(rng.randint(1, height), rng.randint(1, height))
+
+    while True:
+        x, y, z = rat(), rat(), rat()
+        if rng.random() < zero_share:
+            y, z = rng.choice(((0, z), (y, 0), (0, 0)))
+        a1 = x - gap()
+        beyond = sorted({x + gap() for _ in range(2 * r - 2)})
+        prod = 1
+        for a in beyond:
+            prod *= a - x
+        a2 = x + (Fraction(y) ** 2 + Fraction(z) ** 2) / ((x - a1) * prod)
+        if len(beyond) == 2 * r - 2 and all(a2 < a for a in beyond):
+            break
+    roots = [a1, a2, *beyond]
+    if rng.random() < 0.5:
+        roots, x = sorted(-a for a in roots), -x
+    return ConicModel(tuple(roots)), SurfPoint(x, y, z)
+
+
 def random_moebius(rng, size=6):
     while True:
         a, b, c, d = (rng.randint(-size, size) for _ in range(4))
@@ -363,8 +408,8 @@ def hermite_interpolate(nodes) -> RatPoly:
 
 # ---------------------------------------------------------------------------
 # Fraction references: the integer kernels of RatPoly.evaluate,
-# ConicModel.q_at, ladder, the rotations and solve_linear, one Fraction
-# operation at a time.
+# ConicModel.q_at, on_surface, ladder, the rotations and solve_linear, one
+# Fraction operation at a time.
 
 
 def reference_evaluate(poly, x):
@@ -382,6 +427,28 @@ def reference_q_at(model, x):
     for a in model.roots:
         value *= Fraction(x) - a
     return value
+
+
+def reference_on_surface(model, p):
+    """y^2 + z^2 = Q(x) in Fractions."""
+    return p.y * p.y + p.z * p.z == reference_q_at(model, p.x)
+
+
+def reference_rotation_between(model, x, frm, to):
+    """The rotation (c, s) = (v + iw)(y - iz) / rho of the circle
+    y^2 + z^2 = rho = Q(x) sending frm = (y, z) to to = (v, w), with the
+    library's checks and messages, in Fractions; the public constructor
+    checks the circle once more."""
+    rho = reference_q_at(model, x)
+    if rho <= 0:
+        raise EmptyOrSingularFiber(f"Q({quote_rat(x)}) = {quote_rat(rho)} <= 0")
+    y, z = Fraction(frm[0]), Fraction(frm[1])
+    v, w = Fraction(to[0]), Fraction(to[1])
+    for a, b in ((y, z), (v, w)):
+        if a * a + b * b != rho:
+            raise NotOnFiber(f"({quote_rat(a)}, {quote_rat(b)}) is not on the circle"
+                             f" of radius^2 {quote_rat(rho)}")
+    return Rotation((y * v + z * w) / rho, (y * w - z * v) / rho)
 
 
 def reference_ladder(lo, hi):

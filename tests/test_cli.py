@@ -449,6 +449,77 @@ def test_unknown_command_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
 
 
+CHOICES = ("{decide-birational,decide-iso,decide-verytransitive,realizable-perms,stabilizer,"
+           "twist,verify-twist,geiser,biconic-image,lattice,region-path,selftest}")
+USAGE = f"""usage: conicbundle [-h]
+                   {CHOICES}
+                   ...
+"""
+TWIST_USAGE = "usage: conicbundle twist [-h] [--input INPUT] [--output OUTPUT]\n"
+SELFTEST_USAGE = "usage: conicbundle selftest [-h] [--seed SEED] [--output OUTPUT]\n"
+QUOTED = ", ".join(f"'{name}'" for name in CHOICES[1:-1].split(","))
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    ([], 2, "", USAGE + "conicbundle: error: the following arguments are required: command\n"),
+    (["-h"], 0, USAGE + f"""
+Exact decision procedures for real conic-bundle models.
+
+positional arguments:
+  {CHOICES}
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    (["frobnicate"], 2, "", USAGE + "conicbundle: error: argument command: invalid choice: "
+                                    f"'frobnicate' (choose from {QUOTED})\n"),
+    (["twist", "-h"], 0, TWIST_USAGE + """
+options:
+  -h, --help       show this help message and exit
+  --input INPUT    JSON request file (default: stdin)
+  --output OUTPUT  output file (default: stdout)
+""", ""),
+    (["selftest", "-h"], 0, SELFTEST_USAGE + """
+options:
+  -h, --help       show this help message and exit
+  --seed SEED
+  --output OUTPUT  output file (default: stdout)
+""", ""),
+    (["selftest", "--seed", "x"], 2, "",
+     SELFTEST_USAGE + "conicbundle selftest: error: argument --seed: invalid int value: 'x'\n"),
+    (["lattice", "--bogus"], 2, "", USAGE + "conicbundle: error: unrecognized arguments: --bogus\n"),
+    (["lattice", "extra"], 2, "", USAGE + "conicbundle: error: unrecognized arguments: extra\n"),
+    (["twist", "--input"], 2, "",
+     TWIST_USAGE + "conicbundle twist: error: argument --input: expected one argument\n"),
+], ids=["no-argv", "help", "unknown", "twist-help", "selftest-help", "bad-seed", "bogus-option",
+        "extra-argument", "input-without-file"])
+def test_usage_bytes(capsys, monkeypatch, argv, code, out, err):
+    # argparse wraps its usage to the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("lattice", '{"m": 5, "m": 6}', "m"),
+    ("lattice", '{"m": 5, "m": 5, "m": 6}', "m"),
+    ("twist", '{"model": {"roots": ["0", "1"], "roots": ["0", "2"]}}', "model.roots"),
+    ("twist", '{"model": {"roots": ["0", "1"]}, "pairs": [[{"x": "1/2", "y": "1/2", "z": "0"},'
+              ' {"x": "1/2", "x": "1/2", "y": "0", "z": "1/2"}]]}', "pairs[0][1].x"),
+    ("twist", '{"model": {"roots": ["0", "1"]}, "pins": [], "pins": ["0"]}', "pins"),
+], ids=["top-level", "three-times", "model-roots", "pair-point", "optional-field"])
+def test_a_repeated_key_is_a_schema_error(capsys, command, payload, field):
+    code, out, err = invoke(capsys, command, payload)
+    assert code == 2 and out is None
+    assert json.loads(err) == {"error": "schema", "field": field,
+                               "message": f"{field}: duplicate key"}
+
+
+def test_a_repeated_unknown_key_is_ignored(capsys):
+    assert invoke(capsys, "lattice", '{"m": 5, "note": 1, "note": 2}') == \
+        invoke(capsys, "lattice", '{"m": 5}')
+
+
 def test_selftest_rejects_input_without_traceback(tmp_path):
     proc = support.run_python("-m", "conicbundle.cli", "selftest", "--seed", "1",
                               "--input", str(tmp_path / "request.json"))

@@ -8,13 +8,20 @@ are built through their public constructor only: the private `_normalize`
 argument is gone in Python 3.12.  Every value class derives from
 `errors.Value`, whose `__init__` is the one writer of a slot: no dataclass,
 and no `cached_property` (a constructor computes what its value derives).
+Surface membership and the fiber transport are decided in integers: on valid
+input they construct no Fraction at all.
 """
 
 import ast
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import conicbundle
+from conicbundle import Rotation, on_surface, rotation_between, rotation_from_param
+
+import support
 
 PACKAGE = Path(conicbundle.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -100,3 +107,31 @@ def test_values_have_one_writer():
     writers = [f"{name}:{fn.name}" for name, tree in _trees() for fn in ast.walk(tree)
                if isinstance(fn, ast.FunctionDef) and _writes_a_slot(fn)]
     assert found == [] and writers == ["errors.py:__init__"]
+
+
+def test_membership_and_transport_build_no_fraction(monkeypatch):
+    # Fraction.__new__ is counted while on_surface and rotation_between run
+    # on seeded points of every height and r = 1, 2, 3 and on the identity,
+    # the half turn and other rotations; the inputs are built beforehand.
+    rng = random.Random(5)
+    cases = []
+    for height in (6, 10 ** 3, 10 ** 6):
+        for r in (1, 2, 3):
+            model, p = support.model_through_point(rng, r, height, zero_share=0)
+            spin = rotation_from_param(Fraction(rng.randint(1, height), rng.randint(1, height)))
+            for to in ((p.y, p.z), (-p.y, -p.z), support.reference_apply(spin, p.y, p.z)):
+                cases.append((model, p, to))
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    members = [on_surface(model, p) for model, p, _ in cases]
+    rotations = [rotation_between(model, p.x, (p.y, p.z), to) for model, p, to in cases]
+    monkeypatch.undo()
+    assert made == []
+    assert all(members) and all(isinstance(rot, Rotation) for rot in rotations)
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)  # the constructor is back

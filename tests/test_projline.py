@@ -3,7 +3,7 @@
 import random
 import sys
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, log10
 
 import pytest
 from hypothesis import given, settings
@@ -736,6 +736,36 @@ def test_factor_is_a_prime_factorization():
             assert is_prime_by_trial(p) and e >= 1, (n, p)
             product *= p ** e
         assert product == n
+
+
+@pytest.mark.parametrize("tight", [False, True], ids=["default-budget", "tight-budget"])
+def test_factor_matches_sympy_factorint(monkeypatch, tight):
+    # An oracle that shares no code with _factor, on seeded n up to 10^14:
+    # prime powers, semiprimes (both primes past trial division, so Pollard
+    # rho splits them), mixed products and plain random values.  Under the
+    # tight budget part of them run past it; wherever _factor answers, the
+    # two agree.
+    sympy = pytest.importorskip("sympy")
+    if tight:
+        monkeypatch.setattr(projline, "_RHO_BUDGET", 40)
+    rng = random.Random(43)
+    ns = []
+    for _ in range(40):
+        p = sympy.nextprime(rng.randint(2, 10 ** rng.randint(1, 7)))
+        ns.append(p ** rng.randint(1, max(1, int(14 / log10(p)))))
+        q, r = (sympy.nextprime(rng.randint(2200, 10 ** 7)) for _ in range(2))
+        ns += [q * r, q * r * rng.randint(1, 10 ** 14 // (q * r)), rng.randint(1, 10 ** 14)]
+    ns = [n for n in ns if n <= 10 ** 14]
+    answered = 0
+    for n in ns:
+        got = _factor(n)
+        if got is not None:
+            assert got == sympy.factorint(n), n
+            answered += 1
+    if tight:
+        assert 20 < answered < len(ns) - 20, (answered, len(ns))
+    else:
+        assert answered == len(ns) >= 150
 
 
 def test_factor_gives_up_past_its_budget():

@@ -1,6 +1,7 @@
 """Twisting maps: rotations, charts, interpolation, synthesis, verification."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -197,6 +198,84 @@ def test_rotation_between_errors():
         rotation_between(model, Fraction(1, 2), (1, 0), (Fraction(1, 2), 0))
 
 
+def _outcome(fn, *args):
+    """What fn returns, or the type name and message of the fiber error it raises."""
+    try:
+        return fn(*args)
+    except (EmptyOrSingularFiber, NotOnFiber) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _kind(outcome):
+    if not isinstance(outcome, Rotation):
+        return outcome[0]
+    return {Rotation.identity(): "identity", HALF: "half turn"}.get(outcome, "rotation")
+
+
+def test_membership_and_transport_match_the_fraction_references():
+    # The integer kernels of on_surface and rotation_between against their
+    # Fraction forms: points on and off the surface, zero and negative
+    # coordinates, root fibers and fibers with Q < 0, the identity, the half
+    # turn and other rotations, at heights 6, 10^3 and 10^6.
+    rng = random.Random(71)
+    kinds, members = Counter(), Counter()
+    for _ in range(150):
+        height = rng.choice((6, 10 ** 3, 10 ** 6))
+        model, p = support.model_through_point(rng, rng.randint(1, 3), height)
+        source = (p.y, p.z)
+        turned = support.reference_apply(rotation_from_param(random_fraction(rng, height)), *source)
+        off = (p.y + Fraction(rng.choice((-1, 1)), rng.randint(1, height)), p.z)
+        root = rng.choice(model.roots)
+        outside = model.roots[-1] + random_fraction(rng, height) ** 2 + 1
+        cases = [(p.x, source, to) for to in (source, (-p.y, -p.z), turned, off)]
+        cases += [(p.x, off, turned), (root, (0, 0), (0, 0)), (outside, source, turned)]
+        for x, frm, to in cases:
+            got = _outcome(rotation_between, model, x, frm, to)
+            assert got == _outcome(support.reference_rotation_between, model, x, frm, to), \
+                (model, x, frm, to)
+            kinds[_kind(got)] += 1
+        for x, (y, z) in [(p.x, source), (p.x, turned), (p.x, off), (root, (0, 0)),
+                          (root, source), (outside, source)]:
+            point = SurfPoint(x, y, z)
+            member = on_surface(model, point)
+            assert member == support.reference_on_surface(model, point), (model, point)
+            members[member] += 1
+    assert min(kinds.values()) >= 40 and len(kinds) == 5, kinds
+    assert min(members.values()) >= 300, members
+
+
+def test_transport_errors_quote_long_values_like_the_reference():
+    # The exact messages of both fiber errors, for short values and for
+    # 4,000-digit ones, which both sides cut short the same way.
+    rng = random.Random(72)
+    big = Fraction(10 ** 3999 + 7, 3)
+    half = Fraction(1, 2)
+    model = unit_model()
+    cases = [
+        (model, 2, (0, 0), (0, 0)),                      # Q < 0
+        (model, 1, (0, 0), (0, 0)),                      # a root: Q = 0
+        (model, half, (1, 0), (half, 0)),                # the source is off
+        (model, half, (half, 0), (0, 1)),                # the target is off
+        (model, big, (0, 0), (0, 0)),
+        (model, half, (big, 0), (half, 0)),
+        (model, half, (0, half), (-half, big)),
+        (model, half, (half, 0), (0, half)),             # a quarter turn, no error
+    ]
+    # a 4,000-digit point on a 4,000-digit model: transport succeeds
+    big_model, p = support.model_through_point(rng, 1, 10 ** 4000, 0)
+    turned = support.reference_apply(SPIN35, p.y, p.z)
+    cases += [(big_model, p.x, (p.y, p.z), turned),
+              (big_model, p.x, (p.y + 1, p.z), turned),
+              (big_model, big_model.roots[-1] + big, (p.y, p.z), turned)]
+    kinds = Counter()
+    for model, x, frm, to in cases:
+        got = _outcome(rotation_between, model, x, frm, to)
+        assert got == _outcome(support.reference_rotation_between, model, x, frm, to)
+        assert isinstance(got, Rotation) or len(got[1]) < 200, got
+        kinds[_kind(got)] += 1
+    assert kinds == {"EmptyOrSingularFiber": 4, "NotOnFiber": 5, "rotation": 2}, kinds
+
+
 # -- chart ----------------------------------------------------------------------
 
 def test_chart_param_examples():
@@ -309,14 +388,31 @@ def _random_nodes(rng, equations, height, jet_share):
     return nodes
 
 
+def _nine_digit_nodes(rng):
+    # x = 0 half the time, negative x half the time, nine-digit denominators,
+    # and jets beside plain values
+    def nine():
+        return Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(10 ** 8, 10 ** 9 - 1))
+    xs, size = ({0} if rng.random() < 0.5 else set()), rng.randint(2, 6)
+    while len(xs) < size:
+        xs.add(-abs(nine()) if rng.random() < 0.5 else nine())
+    return [(x, nine(), nine()) if rng.random() < 0.5 else (x, nine()) for x in sorted(xs)]
+
+
 def test_interpolate_random_agreement():
     # Exact agreement with the divided-difference oracle: values only, mixed
-    # jets and jets only, up to 14 equations, heights up to 10^6.
+    # jets and jets only, up to 14 equations, heights up to 10^6; then x = 0
+    # (every power of x but the first vanishes), negative x and nine-digit
+    # denominators, with jets beside plain values.
     rng = random.Random(8)
     cases = [[], [(0, 0, 0)], [(Fraction(-7, 3), 5, Fraction(2, 9))]]
     for _ in range(150):
         cases.append(_random_nodes(rng, rng.randint(1, 14), rng.choice((6, 10 ** 3, 10 ** 6)),
                                    rng.choice((0, 0.5, 1))))
+    cases += [[(0, 1)], [(0, 0, 5)], [(0, 1, 0), (-1, 2)], [(-3, 1, 2), (0, -1)],
+              [(Fraction(-1, 123456789), 3, -2), (0, 1), (Fraction(7, 999999999), 5, 1)]]
+    cases += [_nine_digit_nodes(rng) for _ in range(40)]
+    assert sum(node[0] == 0 and len(node) > 2 for nodes in cases[-40:] for node in nodes) > 5
     for nodes in cases:
         poly = interpolate(nodes)
         assert poly == support.hermite_interpolate(nodes)
@@ -325,6 +421,20 @@ def test_interpolate_random_agreement():
             assert poly.evaluate(node[0]) == node[1]
             if len(node) > 2:
                 assert poly.derivative().evaluate(node[0]) == node[2]
+
+
+def test_interpolate_hands_integer_rows_to_solve_linear(monkeypatch):
+    systems = []
+
+    def recording(rows, rhs):
+        systems.append(rows)
+        return solve_linear(rows, rhs)
+
+    monkeypatch.setattr(tw, "solve_linear", recording)
+    nodes = [(0, 1, 2), (Fraction(-3, 7), 5), (Fraction(2, 123456789), Fraction(1, 3), 4)]
+    assert interpolate(nodes) == support.hermite_interpolate(nodes)
+    assert len(systems) == 1 and len(systems[0]) == 5
+    assert all(type(v) is int for row in systems[0] for v in row)
 
 
 def _random_entry(rng, height):
