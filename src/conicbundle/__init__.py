@@ -29,7 +29,7 @@ _EXPORTS = {
     "projline": """Interval IntervalConfig Moebius ProjPoint Rat config_equiv format_rat
         moebius_from_triples parse_rat realizable_permutations stabilizer""",
     "twist": """Rotation TwistMap TwistReport apply_twist chart_param choose_base_rotation
-        find_fiber_point interpolate inverse_twist rotation_between rotation_from_param
+        find_fiber_point interpolate inverse_twist rotation_from_param
         synthesize_twist tangent_coefficient twist_from_rotations verify_twist""",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

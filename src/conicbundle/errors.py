@@ -87,10 +87,6 @@ class EmptyOrSingularFiber(ConicBundleError):
     """The fiber over this parameter has no real circle to rotate."""
 
 
-class NotOnFiber(ConicBundleError):
-    """The (y, z) pair does not lie on the fiber circle."""
-
-
 class ChartPole(ConicBundleError):
     """The rotation sits at the excluded point of the rational chart."""
 

@@ -19,8 +19,8 @@ import heapq
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InvalidModel, OnForbiddenLine, OutsideRegion, Value, quote
-from .projline import Rat, format_rat
+from .errors import InvalidModel, OnForbiddenLine, OutsideRegion, Value
+from .projline import Rat, format_rat, quote_rat
 
 Point = Tuple[Rat, Rat]
 
@@ -144,6 +144,10 @@ def validate_path(region: Region, path: SegPath, start, end,
     return True
 
 
+def _quoted(p: Point) -> str:
+    return f"({quote_rat(p[0])}, {quote_rat(p[1])})"
+
+
 def find_rect_path(region: Region, start, end,
                    forbidden_x: Sequence = (), forbidden_y: Sequence = ()) -> Optional[SegPath]:
     """A validated rectilinear path from start to end inside the region.
@@ -157,13 +161,12 @@ def find_rect_path(region: Region, start, end,
     start, end = _as_point(start), _as_point(end)
     fx = {Fraction(v) for v in forbidden_x}
     fy = {Fraction(v) for v in forbidden_y}
-    if not region.contains(start):
-        raise OutsideRegion(f"start {quote(start)} is outside the region")
-    if not region.contains(end):
-        raise OutsideRegion(f"end {quote(end)} is outside the region")
+    for p, name in ((start, "start"), (end, "end")):
+        if not region.contains(p):
+            raise OutsideRegion(f"{name} {_quoted(p)} is outside the region")
     for p, name in ((start, "start"), (end, "end")):
         if p[0] in fx or p[1] in fy:
-            raise OnForbiddenLine(f"{name} {quote(p)} lies on a forbidden line")
+            raise OnForbiddenLine(f"{name} {_quoted(p)} lies on a forbidden line")
     if start == end:
         return SegPath(())
 

@@ -35,13 +35,12 @@ def parse_rat(token: str) -> Rat:
     if m.group(2) is None:
         return Fraction(num)
     den = int(m.group(2))
-    if den == 0:
-        raise ParseError(f"zero denominator in token: {quote(token)}")
-    if den < 0:
-        raise ParseError(f"negative denominator in token: {quote(token)}")
-    if gcd(abs(num), den) != 1:
+    if den <= 0:
+        raise ParseError(f"{'negative' if den else 'zero'} denominator in token: {quote(token)}")
+    value = Fraction(num, den)
+    if value.denominator != den:
         raise ParseError(f"non-coprime rational token: {quote(token)}")
-    return Fraction(num, den)
+    return value
 
 
 def format_rat(value: Rat) -> str:

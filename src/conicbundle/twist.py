@@ -22,7 +22,6 @@ from .errors import (
     EmptyOrSingularFiber,
     FiberMismatch,
     InvalidModel,
-    NotOnFiber,
     NotOnSurface,
     PinCollision,
     SingularFiberTarget,
@@ -92,19 +91,6 @@ def rotation_from_param(lam: Rat) -> Rotation:
     integer q + ip for lam = p/q."""
     p, q = Fraction(lam).as_integer_ratio()
     return Rotation._of(q, p)
-
-
-def rotation_between(model: ConicModel, x: Rat, frm: Tuple[Rat, Rat],
-                     to: Tuple[Rat, Rat]) -> Rotation:
-    """The rotation of the fiber circle over x sending frm to to."""
-    num, den = model.q_ratio(x)
-    if num <= 0:
-        raise EmptyOrSingularFiber(f"Q({quote_rat(x)}) = {quote_rat(Fraction(num, den))} <= 0")
-    for a, b in (frm, to):
-        if not on_circle(num, den, a, b):
-            raise NotOnFiber(f"({quote_rat(a)}, {quote_rat(b)}) is not on the circle"
-                             f" of radius^2 {quote_rat(Fraction(num, den))}")
-    return _transport(num, den, frm, to)
 
 
 def _transport(num: int, den: int, frm: Tuple[Rat, Rat], to: Tuple[Rat, Rat]) -> Rotation:
@@ -179,8 +165,8 @@ def twist_from_rotations(model: ConicModel, rotation_nodes: Sequence,
     rotation_nodes: pairs (x, Rotation) on fibers with Q(x) > 0, distinct x.
     pins: fiber parameters in the interval image whose rotation must be the
     identity.  jets: pairs (x0, mu0) demanding the identity rotation at x0
-    together with tangent coefficient 2*mu0 (the x-derivative of the sine
-    entry of the fiber rotation).
+    together with tangent coefficient 2*mu0, which is 2 lambda'/(1 + lambda^2)
+    there: the jet row asks lambda'(x0) = mu0 (1 + lambda(x0)^2).
     """
     node_xs, rotations = [], []
     for x, rot in rotation_nodes:
@@ -217,7 +203,7 @@ def twist_from_rotations(model: ConicModel, rotation_nodes: Sequence,
     base = choose_base_rotation(rotations)
     lam_id = chart_param(base, Rotation.identity())
     nodes = [(x, chart_param(base, rot)) for x, rot in zip(node_xs, rotations)]
-    nodes += [(x0, lam_id, 2 * mu0 / (1 + base.c)) for x0, mu0 in jet_list]
+    nodes += [(x0, lam_id, mu0 * (1 + lam_id * lam_id)) for x0, mu0 in jet_list]
     nodes += [(b, lam_id) for b in pin_list]
     twist = TwistMap(base, interpolate(nodes))
 
@@ -277,16 +263,14 @@ def tangent_coefficient(twist: TwistMap, x0: Rat) -> Rat:
 
     At a fiber where the rotation is the identity this is the coefficient
     kappa of the linearized action [y] -> [y] - kappa [x] on the blown-up
-    directions.
+    directions.  The fiber rotation q + ip has angle theta0 + 2 atan lambda(x),
+    so kappa = 2 cos theta lambda'/(1 + lambda^2), cos theta = (q^2 - p^2)/(q^2 + p^2).
     """
-    # The sine entry is (s (1 - l^2) + 2 c l) / (1 + l^2) with l = lambda(x)
-    # and (c, s) the base rotation; its l-derivative is
-    # (2 c (1 - l^2) - 4 s l) / (1 + l^2)^2, times lambda'(x) by the chain rule.
-    x0 = Fraction(x0)
-    lam = twist.lam.evaluate(x0)
-    c, s = twist.base.c, twist.base.s
-    return (twist.lam.derivative().evaluate(x0)
-            * (2 * c * (1 - lam * lam) - 4 * s * lam) / (1 + lam * lam) ** 2)
+    rot = twist.fiber_rotation(x0)
+    num, den = twist.lam.ratio_at(x0)
+    dnum, dden = twist.lam.derivative().ratio_at(x0)
+    return Fraction(2 * (rot.q ** 2 - rot.p ** 2) * dnum * den * den,
+                    (rot.q ** 2 + rot.p ** 2) * dden * (den * den + num * num))
 
 
 _CIRCLE_BOUND = 10 ** 10  # largest num * den of rho the circle search tries

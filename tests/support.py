@@ -46,13 +46,11 @@ from conicbundle import (
 from conicbundle.delpezzo import BiPoint
 from conicbundle.errors import (
     DuplicateNode,
-    EmptyOrSingularFiber,
     ImageIsWholeLine,
     InfiniteStabilizer,
     InvalidModel,
     InvalidTriple,
     IrrationalBoundary,
-    NotOnFiber,
     NotOnSurface,
     OnForbiddenLine,
     OutsideRegion,
@@ -64,7 +62,6 @@ from conicbundle.projline import (
     ProjPoint,
     _walk_key,
     clear_denominators,
-    quote_rat,
 )
 from conicbundle.twist import Rotation, ladder_fibers
 
@@ -436,18 +433,12 @@ def reference_on_surface(model, p):
 
 def reference_rotation_between(model, x, frm, to):
     """The rotation (c, s) = (v + iw)(y - iz) / rho of the circle
-    y^2 + z^2 = rho = Q(x) sending frm = (y, z) to to = (v, w), with the
-    library's checks and messages, in Fractions; the public constructor
-    checks the circle once more."""
+    y^2 + z^2 = rho = Q(x) sending frm = (y, z) to to = (v, w), in Fractions,
+    for two points on that circle; the public constructor checks the circle
+    once more."""
     rho = reference_q_at(model, x)
-    if rho <= 0:
-        raise EmptyOrSingularFiber(f"Q({quote_rat(x)}) = {quote_rat(rho)} <= 0")
     y, z = Fraction(frm[0]), Fraction(frm[1])
     v, w = Fraction(to[0]), Fraction(to[1])
-    for a, b in ((y, z), (v, w)):
-        if a * a + b * b != rho:
-            raise NotOnFiber(f"({quote_rat(a)}, {quote_rat(b)}) is not on the circle"
-                             f" of radius^2 {quote_rat(rho)}")
     return Rotation((y * v + z * w) / rho, (y * w - z * v) / rho)
 
 

@@ -98,6 +98,44 @@ def test_resultant_matches_sylvester_determinant(f, g):
     assert resultant(f, g) == reference_resultant(f, g)
 
 
+def test_resultant_matches_sympy():
+    # sympy's determinant of the 4 x 4 Sylvester matrix, so that forms with a
+    # zero leading coefficient (a root at infinity) are covered, and, where
+    # both leading coefficients are nonzero, sympy.resultant of the
+    # dehomogenized quadratics.  Seeded forms at heights 6, 10^3 and 10^6, a
+    # quarter of their coefficients zero; one pair in ten is f and 2 f.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(97)
+
+    def form(height):
+        coefficients = [0 if rng.random() < 0.25 else
+                        Fraction(rng.randint(-height, height), rng.randint(1, height))
+                        for _ in range(3)]
+        return BinQuadForm(*coefficients) if any(coefficients) else BinQuadForm(1, 0, -1)
+
+    pairs = []
+    for _ in range(80):
+        f = form(rng.choice((6, 10 ** 3, 10 ** 6)))
+        g = BinQuadForm(2 * f.al, 2 * f.be, 2 * f.ga) if rng.random() < 0.1 else form(
+            rng.choice((6, 10 ** 3, 10 ** 6)))
+        pairs.append((f, g))
+    sympy_resultants = zero = 0
+    for f, g in pairs:
+        (a1, b1, c1), (a2, b2, c2) = ([sympy.Rational(v.numerator, v.denominator)
+                                      for v in (h.al, h.be, h.ga)] for h in (f, g))
+        sylvester = sympy.Matrix([[a1, b1, c1, 0], [0, a1, b1, c1],
+                                  [a2, b2, c2, 0], [0, a2, b2, c2]]).det()
+        got = resultant(f, g)
+        assert got == Fraction(int(sylvester.p), int(sylvester.q)), (f, g)
+        if a1 and a2:
+            expected = sympy.resultant(a1 * x ** 2 + b1 * x + c1, a2 * x ** 2 + b2 * x + c2, x)
+            assert got == Fraction(int(expected.p), int(expected.q)), (f, g)
+            sympy_resultants += 1
+        zero += got == 0
+    assert sympy_resultants >= 30 and zero >= 10, (sympy_resultants, zero)
+
+
 @given(forms, st.integers(-6, 6), st.integers(-6, 6).filter(bool))
 def test_resultant_vanishes_on_a_shared_root(f, a, b):
     # g = (b x - a y)^2 has the single root (a : b)

@@ -19,7 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import conicbundle
-from conicbundle import Rotation, on_surface, rotation_between, rotation_from_param
+from conicbundle import Rotation, on_surface, rotation_from_param
+from conicbundle import twist as tw
 
 import support
 
@@ -110,7 +111,7 @@ def test_values_have_one_writer():
 
 
 def test_membership_and_transport_build_no_fraction(monkeypatch):
-    # Fraction.__new__ is counted while on_surface and rotation_between run
+    # Fraction.__new__ is counted while on_surface and twist._transport run
     # on seeded points of every height and r = 1, 2, 3 and on the identity,
     # the half turn and other rotations; the inputs are built beforehand.
     rng = random.Random(5)
@@ -130,7 +131,7 @@ def test_membership_and_transport_build_no_fraction(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counting)
     members = [on_surface(model, p) for model, p, _ in cases]
-    rotations = [rotation_between(model, p.x, (p.y, p.z), to) for model, p, to in cases]
+    rotations = [tw._transport(*model.q_ratio(p.x), (p.y, p.z), to) for model, p, to in cases]
     monkeypatch.undo()
     assert made == []
     assert all(members) and all(isinstance(rot, Rotation) for rot in rotations)

@@ -2,7 +2,9 @@
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import gcd, isqrt, log10
 
 import pytest
@@ -766,6 +768,56 @@ def test_factor_matches_sympy_factorint(monkeypatch, tight):
         assert 20 < answered < len(ns) - 20, (answered, len(ns))
     else:
         assert answered == len(ns) >= 150
+
+
+def _sympy_conic_point(diop, coefficients, orders):
+    """The first point that diop_ternary_quadratic gives, in one of the given
+    orders of the coefficients, that is a nonzero solution of the form."""
+    from sympy.abc import x, y, z
+    for order in orders:
+        a, b, c = (coefficients[i] for i in order)
+        solution = diop(a * x ** 2 + b * y ** 2 + c * z ** 2)
+        if solution is None or None in solution:
+            continue
+        point = [0, 0, 0]
+        for i, v in zip(order, solution):
+            point[i] = int(v)
+        if any(point) and sum(k * v * v for k, v in zip(coefficients, point)) == 0:
+            return tuple(point)
+    return None
+
+
+def test_legendre_matches_sympy_diop_ternary_quadratic():
+    # An oracle that shares no code with _legendre, both ways: a True needs a
+    # point from sympy, checked exactly on the form, and a False needs sympy to
+    # find none.  Seeded forms at heights 30, 10^3 and 10^6, half of them with
+    # a planted point (the third coefficient then reaches about 10^18).  sympy
+    # 1.14 can miss a point in one order of the coefficients (for -21, -73, 129,
+    # which has (16, 15, 13), it finds none; for 129, -21, -73 it finds
+    # (37, 68, 33)) and returns non-solutions for some forms with a common
+    # factor (3 x^2 - y^2 + 21 z^2 gives (1, 3, 0)), so only checked points
+    # count and a True tries every order.  Forms whose factoring runs past the
+    # budget answer None: they are skipped and counted.
+    diop = pytest.importorskip("sympy.solvers.diophantine.diophantine").diop_ternary_quadratic
+    orders = list(permutations(range(3)))
+    rng = random.Random(45)
+    big = (2 ** 89 - 1) * (2 ** 107 - 1)  # past the primality proof's range
+    forms = [(1, 1, -1370), (1, 1, -3), (-21, -73, 129), (1, 1, 1), (1, -1, -big), (3, -big, 5)]
+    for _ in range(80):
+        height = rng.choice((30, 10 ** 3, 10 ** 6))
+        a, b, c = (rng.choice((-1, 1)) * rng.randint(1, height) for _ in range(3))
+        if rng.random() < 0.5:
+            c = -(a * rng.randint(0, height) ** 2 + b * rng.randint(1, height) ** 2) or c
+        forms.append((a, b, c))
+    verdicts = Counter()
+    for form in forms:
+        verdict = _legendre(*form)
+        if verdict is not None:
+            point = _sympy_conic_point(diop, form, orders if verdict else orders[:1])
+            assert (point is not None) == verdict, (form, point)
+        verdicts[verdict] += 1
+    assert verdicts[None] == 2, verdicts
+    assert min(verdicts[True], verdicts[False]) >= 25, verdicts
 
 
 def test_factor_gives_up_past_its_budget():
