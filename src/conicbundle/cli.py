@@ -341,7 +341,7 @@ def _selftest(seed: int) -> dict:
 
     spins = [tw.rotation_from_param(lam) for lam in (0, 1, Fraction(1, 2), 2, Fraction(2, 3))]
     for roots in ((0, 1), (0, 1, 2, 3), (-2, -1, 1, 2), (0, 1, 4, 5, 8, 9)):
-        model = cm.ConicModel(tuple(Fraction(a) for a in roots))
+        model = cm.ConicModel(roots)
         fibers = [p for lo, hi in zip(model.roots[::2], model.roots[1::2])
                   for p in islice(tw.ladder_fibers(model, lo, hi), 1)]
         for _ in range(2):
@@ -404,14 +404,51 @@ _HANDLERS = {
 SUBCOMMANDS = (*_HANDLERS, "selftest")
 
 
+_WIDTH = 78  # argparse's help width: the terminal's 80 columns less 2
+
+
+def _usage(prog: str, *parts: str) -> str:
+    """argparse 3.11's usage text at _WIDTH, which every version prints
+    verbatim: parts packed greedily after "usage: prog", a wrapped part
+    aligned under the first."""
+    indent = " " * len(f"usage: {prog} ")
+    lines = [f"usage: {prog}"]
+    for part in parts:
+        if len(lines[-1]) + 1 + len(part) > _WIDTH:
+            lines.append(indent + part)
+        else:
+            lines[-1] += " " + part
+    return "\n".join(lines)[len("usage: "):]
+
+
+def _formatter(prog: str) -> argparse.HelpFormatter:
+    return argparse.HelpFormatter(prog, width=_WIDTH)
+
+
+class _Parser(argparse.ArgumentParser):
+    def _check_value(self, action, value):
+        # 3.11's message; newer patch releases, 3.13.13 among them, drop the quotes
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {value!r} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built by the first run() and reused after it."""
-    parser = argparse.ArgumentParser(
-        prog="conicbundle",
+    """The argument parser, built by the first run() and reused after it.
+
+    Usage and help bytes are fixed: explicit usage texts and a fixed width,
+    so neither the interpreter nor COLUMNS changes them."""
+    parser = _Parser(
+        prog="conicbundle", formatter_class=_formatter,
+        usage=_usage("conicbundle", "[-h]", "{" + ",".join(SUBCOMMANDS) + "}", "..."),
         description="Exact decision procedures for real conic-bundle models.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # an explicit prog: argparse would derive the subcommands' from the usage
+    sub = parser.add_subparsers(dest="command", required=True, prog="conicbundle")
     for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
+        source = "[--seed SEED]" if name == "selftest" else "[--input INPUT]"
+        p = sub.add_parser(name, formatter_class=_formatter,
+                           usage=_usage(f"conicbundle {name}", "[-h]", source, "[--output OUTPUT]"))
         if name == "selftest":
             p.add_argument("--seed", type=int, default=0)
         else:

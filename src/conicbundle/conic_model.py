@@ -18,6 +18,7 @@ from .projline import (
     Moebius,
     Rat,
     _equiv_candidates,
+    as_rat,
     config_equiv,
     quote_rat,
     realizable_permutations,
@@ -41,7 +42,7 @@ class ConicModel(Value):
     __slots__ = ("roots", "_root_ratios")
 
     def __init__(self, roots: tuple):
-        roots = tuple(Fraction(a) for a in roots)
+        roots = tuple(map(as_rat, roots))
         if len(roots) < 2 or len(roots) % 2 != 0:
             raise InvalidModel("need a positive even number of roots")
         if any(roots[i] >= roots[i + 1] for i in range(len(roots) - 1)):
@@ -62,7 +63,7 @@ class ConicModel(Value):
         return num, den
 
     def q_at(self, x) -> Rat:
-        return Fraction(*self.q_ratio(Fraction(x)))
+        return Fraction(*self.q_ratio(as_rat(x)))
 
 
 class SurfPoint(Value):
@@ -71,7 +72,7 @@ class SurfPoint(Value):
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x: Rat, y: Rat, z: Rat):
-        super().__init__(*[v if isinstance(v, Fraction) else Fraction(v) for v in (x, y, z)])
+        super().__init__(as_rat(x), as_rat(y), as_rat(z))
 
     def quoted(self) -> str:
         """(x, y, z) for an error message, each coordinate cut short by quote."""

@@ -11,7 +11,6 @@ the second conic bundle structure.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import islice
 from math import isqrt
 from typing import Optional, Tuple
@@ -38,6 +37,7 @@ from .projline import (
     Rat,
     _legendre,
     _walk_key,
+    as_rat,
     clear_denominators,
     format_rat,
     ladder,
@@ -53,7 +53,7 @@ class BinQuadForm(Value):
     __slots__ = ("al", "be", "ga")
 
     def __init__(self, al: Rat, be: Rat, ga: Rat):
-        al, be, ga = Fraction(al), Fraction(be), Fraction(ga)
+        al, be, ga = as_rat(al), as_rat(be), as_rat(ga)
         if al == 0 and be == 0 and ga == 0:
             raise InvalidModel("the zero form is not allowed")
         super().__init__(al, be, ga)
@@ -293,7 +293,7 @@ def distinct_foliations_witness(model: BiconicModel) -> tuple:
                                       Interval(arc.end, arc.start).interior_point())
                  for arc in image.intervals]
     params = (m.apply_rat(u) for m in into_arcs
-              for rung in ladder(Fraction(0), Fraction(1)) for u in rung)
+              for rung in ladder(0, 1) for u in rung)
     for t in islice(params, _WITNESS_BUDGET):
         values = {}
         for p in fiber_points(model, t, want=8):

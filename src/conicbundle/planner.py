@@ -16,11 +16,10 @@ along a forbidden y-line.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidModel, OnForbiddenLine, OutsideRegion, Value
-from .projline import Rat, format_rat, quote_rat
+from .projline import Rat, as_rat, format_rat, quote_rat
 
 Point = Tuple[Rat, Rat]
 
@@ -31,7 +30,7 @@ class Rect(Value):
     __slots__ = ("x0", "x1", "y0", "y1")
 
     def __init__(self, x0: Rat, x1: Rat, y0: Rat, y1: Rat):
-        x0, x1, y0, y1 = Fraction(x0), Fraction(x1), Fraction(y0), Fraction(y1)
+        x0, x1, y0, y1 = as_rat(x0), as_rat(x1), as_rat(y0), as_rat(y1)
         if x0 > x1 or y0 > y1:
             raise InvalidModel("rectangle ranges must be nonempty")
         super().__init__(x0, x1, y0, y1)
@@ -99,11 +98,11 @@ class SegPath(Value):
 
 
 def _as_point(p) -> Point:
-    return (Fraction(p[0]), Fraction(p[1]))
+    return (as_rat(p[0]), as_rat(p[1]))
 
 
 def _grid_values(cuts: Iterable[Rat]) -> List[Rat]:
-    values = sorted(set(Fraction(c) for c in cuts))
+    values = sorted(set(cuts))
     grid = []
     for i, v in enumerate(values):
         grid.append(v)
@@ -116,8 +115,8 @@ def validate_path(region: Region, path: SegPath, start, end,
                   forbidden_x: Sequence = (), forbidden_y: Sequence = ()) -> bool:
     """Exact check: endpoints, containment in the union, forbidden avoidance."""
     start, end = _as_point(start), _as_point(end)
-    forbidden_x = {Fraction(v) for v in forbidden_x}
-    forbidden_y = {Fraction(v) for v in forbidden_y}
+    forbidden_x = set(map(as_rat, forbidden_x))
+    forbidden_y = set(map(as_rat, forbidden_y))
     if not path.segments:
         return start == end and region.contains(start)
     if path.segments[0].a != start or path.segments[-1].b != end:
@@ -159,8 +158,8 @@ def find_rect_path(region: Region, start, end,
     output is reproducible.
     """
     start, end = _as_point(start), _as_point(end)
-    fx = {Fraction(v) for v in forbidden_x}
-    fy = {Fraction(v) for v in forbidden_y}
+    fx = set(map(as_rat, forbidden_x))
+    fy = set(map(as_rat, forbidden_y))
     for p, name in ((start, "start"), (end, "end")):
         if not region.contains(p):
             raise OutsideRegion(f"{name} {_quoted(p)} is outside the region")

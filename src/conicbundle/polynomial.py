@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import Value
-from .projline import Rat, clear_denominators, format_rat
+from .projline import Rat, as_rat, clear_denominators, format_rat
 
 
 class RatPoly(Value):
@@ -18,7 +18,7 @@ class RatPoly(Value):
     __slots__ = ("coeffs", "_cleared")
 
     def __init__(self, coeffs: tuple):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = list(map(as_rat, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         super().__init__(tuple(cs), (lcm(*(c.denominator for c in cs)),
@@ -30,14 +30,14 @@ class RatPoly(Value):
 
     @staticmethod
     def one() -> "RatPoly":
-        return RatPoly((Fraction(1),))
+        return RatPoly((1,))
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def coefficient(self, k: int) -> Rat:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else as_rat(0)
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -50,9 +50,9 @@ class RatPoly(Value):
         return RatPoly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RatPoly):
             return RatPoly(tuple(c * other for c in self.coeffs))
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
@@ -69,7 +69,7 @@ class RatPoly(Value):
         if not self.coeffs:
             return 0, 1
         den, ints = self._cleared
-        p, q = (x if isinstance(x, Fraction) else Fraction(x)).as_integer_ratio()
+        p, q = x.as_integer_ratio()
         acc, qk = 0, 1
         for a in ints:
             acc = acc * p + a * qk

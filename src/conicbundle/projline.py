@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Optional
 
@@ -22,6 +23,16 @@ from .errors import InfiniteStabilizer, InvalidModel, InvalidTriple, ParseError,
 Rat = Fraction
 
 _RAT_RE = re.compile(r"(-?\d+)(?:/(-?\d+))?", re.ASCII)
+
+
+def as_rat(value) -> Rat:
+    """The one coercion to a rational: a Fraction unchanged, an int as a
+    Fraction; anything else (a float, a string, a bool) is InvalidModel."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    raise InvalidModel(f"not an int or a Fraction: {quote(value)}")
 
 
 def parse_rat(token: str) -> Rat:
@@ -33,7 +44,7 @@ def parse_rat(token: str) -> Rat:
         raise ParseError(f"not a rational token: {quote(token)}")
     num = int(m.group(1))
     if m.group(2) is None:
-        return Fraction(num)
+        return as_rat(num)
     den = int(m.group(2))
     if den <= 0:
         raise ParseError(f"{'negative' if den else 'zero'} denominator in token: {quote(token)}")
@@ -226,8 +237,7 @@ class ProjPoint(Value):
 
     @staticmethod
     def from_rat(value: Rat) -> "ProjPoint":
-        value = Fraction(value)
-        return ProjPoint(value.numerator, value.denominator)
+        return ProjPoint(*value.as_integer_ratio())
 
     @staticmethod
     def infinity() -> "ProjPoint":
@@ -247,9 +257,7 @@ class ProjPoint(Value):
 
     @staticmethod
     def from_token(token: str) -> "ProjPoint":
-        if token == "inf":
-            return ProjPoint.infinity()
-        return ProjPoint.from_rat(parse_rat(token))
+        return INF if token == "inf" else ProjPoint.from_rat(parse_rat(token))
 
     def __repr__(self):
         return f"ProjPoint({self.to_token()})"
@@ -260,11 +268,14 @@ ONE = ProjPoint(1, 1)
 INF = ProjPoint.infinity()
 
 
-def _walk_key(p: ProjPoint):
-    # Linear order realizing one positive turn of the circle from infinity.
-    if p.is_infinity:
-        return (0, Fraction(0))
-    return (1, p.to_rat())
+@cmp_to_key
+def _walk_key(p: ProjPoint, q: ProjPoint) -> int:
+    # The sort key of one positive turn of the circle from infinity: infinity
+    # first, then the finite points by value, as p - q = [p,q] / (p.u1 q.u1).
+    if not (p.u1 and q.u1):
+        return (not q.u1) - (not p.u1)
+    d = (p.u0 * q.u1 - p.u1 * q.u0) * p.u1 * q.u1
+    return (d > 0) - (d < 0)
 
 
 LADDER = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16)
@@ -372,19 +383,20 @@ class Interval(Value):
         super().__init__(start, end)
 
     def contains(self, p: ProjPoint) -> bool:
-        # a cyclic test: where _walk_key cuts the circle does not matter
-        ks, ke, kp = _walk_key(self.start), _walk_key(self.end), _walk_key(p)
-        if ks < ke:
-            return ks <= kp <= ke
-        return kp >= ks or kp <= ke
+        # [s,p][p,e][e,s] > 0 exactly when s, p, e run in the positive sense,
+        # and = 0 at an end; each point enters twice, so any representative serves
+        s, e = self.start, self.end
+        return ((s.u0 * p.u1 - s.u1 * p.u0) * (p.u0 * e.u1 - p.u1 * e.u0)
+                * (e.u0 * s.u1 - e.u1 * s.u0)) >= 0
 
     def interior_point(self) -> ProjPoint:
         """A rational point strictly inside the arc."""
-        if self.start.is_infinity:
-            return ProjPoint.from_rat(self.end.to_rat() - 1)
+        (s0, s1), (e0, e1) = (self.start.u0, self.start.u1), (self.end.u0, self.end.u1)
+        if not s1:
+            return ProjPoint(e0 - e1, e1)  # end - 1
         if self.contains(INF):
-            return ProjPoint.from_rat(self.start.to_rat() + 1)
-        return ProjPoint.from_rat((self.start.to_rat() + self.end.to_rat()) / 2)
+            return ProjPoint(s0 + s1, s1)  # start + 1
+        return ProjPoint(s0 * e1 + e0 * s1, 2 * s1 * e1)  # the midpoint
 
     def as_json(self) -> list:
         return [self.start.to_token(), self.end.to_token()]

@@ -28,7 +28,7 @@ from .errors import (
     Value,
 )
 from .polynomial import RatPoly, solve_linear
-from .projline import Rat, _factor, format_rat, ladder, primitive, quote_rat
+from .projline import Rat, _factor, as_rat, format_rat, ladder, primitive, quote_rat
 
 
 class Rotation(Value):
@@ -41,7 +41,7 @@ class Rotation(Value):
 
     def __init__(self, c: Rat, s: Rat):
         """The rotation (c, s); the one check that c^2 + s^2 = 1."""
-        c, s = (v if isinstance(v, Fraction) else Fraction(v) for v in (c, s))
+        c, s = as_rat(c), as_rat(s)
         # c^2 + s^2 = 1 in integers: with c = a/h and s = b/k in lowest terms,
         # a^2 k^2 + b^2 h^2 = h^2 k^2 makes h^2 divide a^2 k^2, so h | k, and
         # k | h alike; hence h = k and a^2 + b^2 = h^2, and conversely.
@@ -89,7 +89,7 @@ class Rotation(Value):
 def rotation_from_param(lam: Rat) -> Rotation:
     """psi(lam) = ((1 - lam^2)/(1 + lam^2), 2 lam/(1 + lam^2)), the Gaussian
     integer q + ip for lam = p/q."""
-    p, q = Fraction(lam).as_integer_ratio()
+    p, q = lam.as_integer_ratio()
     return Rotation._of(q, p)
 
 
@@ -128,8 +128,8 @@ def interpolate(nodes: Sequence) -> RatPoly:
         return RatPoly.zero()
     xs, rows, rhs = [], [], []
     for node in nodes:
-        x, value = (v if isinstance(v, Fraction) else Fraction(v) for v in node[:2])
-        deriv = Fraction(node[2]) if len(node) > 2 and node[2] is not None else None
+        x, value = as_rat(node[0]), as_rat(node[1])
+        deriv = as_rat(node[2]) if len(node) > 2 and node[2] is not None else None
         if x in xs:
             raise DuplicateNode(f"repeated interpolation node x = {quote_rat(x)}")
         xs.append(x)
@@ -170,7 +170,7 @@ def twist_from_rotations(model: ConicModel, rotation_nodes: Sequence,
     """
     node_xs, rotations = [], []
     for x, rot in rotation_nodes:
-        x = Fraction(x)
+        x = as_rat(x)
         if model.q_ratio(x)[0] <= 0:
             raise SingularFiberTarget(f"Q({quote_rat(x)}) <= 0: no circle to rotate")
         if x in node_xs:
@@ -180,7 +180,7 @@ def twist_from_rotations(model: ConicModel, rotation_nodes: Sequence,
 
     jet_list, jet_xs = [], []
     for x0, mu0 in jets:
-        x0, mu0 = Fraction(x0), Fraction(mu0)
+        x0, mu0 = as_rat(x0), as_rat(mu0)
         if x0 in node_xs:
             raise PinCollision(f"jet node x = {quote_rat(x0)} collides with a transported fiber")
         if x0 in jet_xs:
@@ -192,7 +192,7 @@ def twist_from_rotations(model: ConicModel, rotation_nodes: Sequence,
 
     pin_list = []
     for b in pins:
-        b = Fraction(b)
+        b = as_rat(b)
         if b in node_xs:
             raise PinCollision(f"pin x = {quote_rat(b)} collides with a transported fiber")
         if model.q_ratio(b)[0] < 0:
@@ -342,8 +342,6 @@ def find_fiber_point(model: ConicModel, x: Rat) -> Optional[SurfPoint]:
     """A rational surface point over x, when the fiber circle has one.
 
     A miss is decided on the integers of Q(x) and builds no Fraction."""
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
     num, den = model.q_ratio(x)
     g = gcd(num, den)
     num, den = num // g, den // g

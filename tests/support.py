@@ -9,6 +9,8 @@ Vandermonde system.  The Fraction references at the end are the
 Fraction-by-Fraction forms of the integer kernels of the fiber layers (among
 them surface membership and the transport rotation) and of the linear
 solver, and the map-building forms of the Moebius witness search.
+The P^1 order references are the Fraction forms of the walk key, the arc
+test and the interior point, which the library decides on integer brackets.
 The pairwise disjointness check and the gap-run walk are the references for
 the boundary walk that IntervalConfig and biconic_interval_image share, and
 the polyline merge is the reference for the planner's corners.  The
@@ -21,6 +23,7 @@ off cleared integer coefficients.
 
 import heapq
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -57,10 +60,10 @@ from conicbundle.errors import (
     Unsupported,
 )
 from conicbundle.projline import (
+    INF,
     LADDER,
     Interval,
     ProjPoint,
-    _walk_key,
     clear_denominators,
 )
 from conicbundle.twist import Rotation, ladder_fibers
@@ -85,11 +88,38 @@ def decimal_digits(n):
     return sign + str(parts[-1]) + "".join(str(p).zfill(1000) for p in reversed(parts[:-1]))
 
 
-def run_python(*args, stdin=None):
-    """A fresh interpreter run with this checkout's conicbundle importable."""
+def run_python(*args, stdin=None, python=None):
+    """A fresh interpreter run, by default of this one, with this checkout's
+    conicbundle importable."""
     env = dict(os.environ, PYTHONPATH=str(Path(conicbundle.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, *args], env=env, input=stdin,
+    return subprocess.run([python or sys.executable, *args], env=env, input=stdin,
                           capture_output=True, text=True, timeout=60)
+
+
+_PROBE = "import os, sys; print(os.path.realpath(sys.executable), sys.version.split()[0])"
+
+
+def other_interpreters():
+    """{executable: version} of each interpreter other than this one that
+    requires-python (>= 3.10) admits: python3.10 to python3.13 on PATH and
+    under ~/.pyenv/versions, each one that starts, once per real path."""
+    names = [f"python3.{minor}" for minor in range(10, 14)]
+    candidates = [shutil.which(name) for name in names]
+    candidates += [str(p) for name in names
+                   for p in sorted(Path.home().glob(f".pyenv/versions/*/bin/{name}"))]
+    found, seen = {}, {os.path.realpath(sys.executable)}
+    for python in filter(None, candidates):
+        try:
+            proc = subprocess.run([python, "-c", _PROBE], capture_output=True, text=True,
+                                  timeout=60)
+        except OSError:
+            continue
+        if proc.returncode == 0:  # a pyenv shim of an inactive version exits 127
+            real, version = proc.stdout.rsplit(maxsplit=1)
+            if real not in seen:
+                seen.add(real)
+                found[python] = version
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +135,9 @@ def _verify_by_membership(m, c1, c2):
         return None
     nu = []
     for arc in c1.intervals:
-        image_sample = m.apply(arc.interior_point())
-        hit = [j for j, target in enumerate(c2.intervals) if target.contains(image_sample)]
+        image_sample = m.apply(reference_interior_point(arc))
+        hit = [j for j, target in enumerate(c2.intervals)
+               if reference_contains(target, image_sample)]
         if len(hit) != 1:
             return None
         nu.append(hit[0])
@@ -126,8 +157,8 @@ def oracle_equiv_all(c1, c2):
     b1 = c1.boundary_points()
     b2 = c2.boundary_points()
     if c1.r == 1:
-        i1 = c1.intervals[0].interior_point()
-        i2 = c2.intervals[0].interior_point()
+        i1 = reference_interior_point(c1.intervals[0])
+        i2 = reference_interior_point(c2.intervals[0])
         candidates = [(b2[0], b2[1], i2), (b2[1], b2[0], i2)]
         sources = (b1[0], b1[1], i1)
         for cand in candidates:
@@ -168,7 +199,7 @@ def oracle_equiv(c1, c2, nu=None):
 def oracle_stabilizer(points):
     """The stabilizer by brute force: every ordered triple as the image of
     the first three points, each candidate tested on the whole set."""
-    pts = sorted(set(points), key=_walk_key)
+    pts = sorted(set(points), key=reference_walk_key)
     if len(pts) < 3:
         raise InfiniteStabilizer(f"{len(pts)} points span an infinite stabilizer")
     base = pts[:3]
@@ -194,7 +225,7 @@ def witness_maps_config(m, c1, c2, nu):
         images = {m.apply(arc.start), m.apply(arc.end)}
         if images != {target.start, target.end}:
             return False
-        if not target.contains(m.apply(arc.interior_point())):
+        if not reference_contains(target, m.apply(reference_interior_point(arc))):
             return False
     return True
 
@@ -515,6 +546,37 @@ def reference_dihedral_maps(src, dst):
 
 
 # ---------------------------------------------------------------------------
+# P^1 order references: the Fraction forms of the walk key, the arc test and
+# the interior point, which the library decides on integer brackets.
+
+
+def reference_walk_key(p):
+    """One positive turn of the circle from infinity as a Fraction key:
+    infinity first, then the finite points by value."""
+    if p.is_infinity:
+        return (0, Fraction(0))
+    return (1, p.to_rat())
+
+
+def reference_contains(arc, p):
+    """Whether the closed arc holds p, by the walk keys of its ends."""
+    ks, ke, kp = reference_walk_key(arc.start), reference_walk_key(arc.end), reference_walk_key(p)
+    if ks < ke:
+        return ks <= kp <= ke
+    return kp >= ks or kp <= ke
+
+
+def reference_interior_point(arc):
+    """end - 1 when the arc starts at infinity, start + 1 when it holds
+    infinity, else the midpoint of its ends, in Fractions."""
+    if arc.start.is_infinity:
+        return ProjPoint.from_rat(arc.end.to_rat() - 1)
+    if reference_contains(arc, INF):
+        return ProjPoint.from_rat(arc.start.to_rat() + 1)
+    return ProjPoint.from_rat((arc.start.to_rat() + arc.end.to_rat()) / 2)
+
+
+# ---------------------------------------------------------------------------
 # Boundary-walk references: the pairwise disjointness check and the gap-run
 # walk that the single sorted walk replaced.
 
@@ -529,10 +591,11 @@ def reference_interval_config(arcs):
         raise InvalidModel("boundary points of a configuration must be distinct")
     for i, a in enumerate(arcs):
         for b in arcs[i + 1:]:
-            if (a.contains(b.start) or a.contains(b.end)
-                    or b.contains(a.start) or b.contains(a.end)):
+            if (reference_contains(a, b.start) or reference_contains(a, b.end)
+                    or reference_contains(b, a.start) or reference_contains(b, a.end)):
                 raise InvalidModel(f"arcs {a} and {b} are not disjoint")
-    return tuple(sorted(arcs, key=lambda arc: min(_walk_key(arc.start), _walk_key(arc.end))))
+    return tuple(sorted(arcs, key=lambda arc: min(reference_walk_key(arc.start),
+                                                  reference_walk_key(arc.end))))
 
 
 def reference_values_at(model, t):
@@ -590,12 +653,12 @@ def reference_biconic_interval_image(model):
         if all(v > 0 for v in sample) or all(v < 0 for v in sample):
             return IntervalConfig(())
         raise ImageIsWholeLine("every parameter carries real points")
-    roots.sort(key=_walk_key)
+    roots.sort(key=reference_walk_key)
     n = len(roots)
     gap_in_image = []
     for i in range(n):
         if n > 1:
-            probe = Interval(roots[i], roots[(i + 1) % n]).interior_point()
+            probe = reference_interior_point(Interval(roots[i], roots[(i + 1) % n]))
         elif roots[0].is_infinity:
             probe = ProjPoint(0, 1)
         else:

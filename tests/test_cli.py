@@ -24,6 +24,7 @@ from conicbundle.projline import ProjPoint
 from conicbundle.projline import interval_image as arc_image
 
 import support
+from golden_replay import COLUMNS, USAGE_CASES
 
 
 def invoke(capsys, command, payload, extra=()):
@@ -462,55 +463,14 @@ def test_unknown_command_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
 
 
-CHOICES = ("{decide-birational,decide-iso,decide-verytransitive,realizable-perms,stabilizer,"
-           "twist,verify-twist,geiser,biconic-image,lattice,region-path,selftest}")
-USAGE = f"""usage: conicbundle [-h]
-                   {CHOICES}
-                   ...
-"""
-TWIST_USAGE = "usage: conicbundle twist [-h] [--input INPUT] [--output OUTPUT]\n"
-SELFTEST_USAGE = "usage: conicbundle selftest [-h] [--seed SEED] [--output OUTPUT]\n"
-QUOTED = ", ".join(f"'{name}'" for name in CHOICES[1:-1].split(","))
-
-
-@pytest.mark.parametrize("argv, code, out, err", [
-    ([], 2, "", USAGE + "conicbundle: error: the following arguments are required: command\n"),
-    (["-h"], 0, USAGE + f"""
-Exact decision procedures for real conic-bundle models.
-
-positional arguments:
-  {CHOICES}
-
-options:
-  -h, --help            show this help message and exit
-""", ""),
-    (["frobnicate"], 2, "", USAGE + "conicbundle: error: argument command: invalid choice: "
-                                    f"'frobnicate' (choose from {QUOTED})\n"),
-    (["twist", "-h"], 0, TWIST_USAGE + """
-options:
-  -h, --help       show this help message and exit
-  --input INPUT    JSON request file (default: stdin)
-  --output OUTPUT  output file (default: stdout)
-""", ""),
-    (["selftest", "-h"], 0, SELFTEST_USAGE + """
-options:
-  -h, --help       show this help message and exit
-  --seed SEED
-  --output OUTPUT  output file (default: stdout)
-""", ""),
-    (["selftest", "--seed", "x"], 2, "",
-     SELFTEST_USAGE + "conicbundle selftest: error: argument --seed: invalid int value: 'x'\n"),
-    (["lattice", "--bogus"], 2, "", USAGE + "conicbundle: error: unrecognized arguments: --bogus\n"),
-    (["lattice", "extra"], 2, "", USAGE + "conicbundle: error: unrecognized arguments: extra\n"),
-    (["twist", "--input"], 2, "",
-     TWIST_USAGE + "conicbundle twist: error: argument --input: expected one argument\n"),
-], ids=["no-argv", "help", "unknown", "twist-help", "selftest-help", "bad-seed", "bogus-option",
-        "extra-argument", "input-without-file"])
+@pytest.mark.parametrize("argv, code, out, err", [case[1:] for case in USAGE_CASES],
+                         ids=[case[0] for case in USAGE_CASES])
 def test_usage_bytes(capsys, monkeypatch, argv, code, out, err):
-    # argparse wraps its usage to the terminal width, which it reads from COLUMNS
-    monkeypatch.setenv("COLUMNS", "80")
-    assert run(argv) == code
-    assert capsys.readouterr() == (out, err)
+    # argparse reads the terminal width from COLUMNS; the bytes must not change with it
+    for columns in COLUMNS:
+        monkeypatch.setenv("COLUMNS", columns)
+        assert run(argv) == code
+        assert capsys.readouterr() == (out, err)
 
 
 @pytest.mark.parametrize("command, payload, field", [

@@ -16,7 +16,7 @@ import types
 
 import conicbundle
 import support
-from test_golden import WORKLOADS, load, replay
+from golden_replay import WORKLOADS, load, replay
 
 ALWAYS = {"conicbundle", "conicbundle.errors", "conicbundle.projline"}
 LAYERS = {f"conicbundle.{m}" for m in ("conic_model", "delpezzo", "lattice", "planner",

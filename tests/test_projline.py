@@ -330,6 +330,28 @@ def test_interior_point_always_interior():
         assert arc.contains(inner) and inner not in (arc.start, arc.end)
 
 
+@pytest.mark.parametrize("height", [3, 10 ** 3, 10 ** 6])
+def test_order_arcs_and_midpoints_match_the_fraction_reference(height):
+    # seeded points with inf, 0 and -1 among them: every arc between two of
+    # them, through infinity or not, is tested on every point, its ends too
+    rng = random.Random(height)
+    points = {INF, ZERO, ProjPoint(-1, 1)}
+    while len(points) < 14:
+        points.add(ProjPoint(rng.randint(-height, height), rng.randint(1, height)))
+    points = list(points)
+    rng.shuffle(points)
+    assert (sorted(points, key=_walk_key)
+            == sorted(points, key=support.reference_walk_key))
+    for s in points:
+        for e in points:
+            if s == e:
+                continue
+            arc = Interval(s, e)
+            assert arc.interior_point() == support.reference_interior_point(arc), arc
+            assert ([arc.contains(p) for p in points]
+                    == [support.reference_contains(arc, p) for p in points]), arc
+
+
 def test_interval_image_identity():
     arc = Interval(pt(0), pt(1))
     assert interval_image(Moebius.identity(), arc) == arc

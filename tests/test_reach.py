@@ -16,7 +16,7 @@ from pathlib import Path
 import conicbundle
 from conicbundle import cli
 
-from test_golden import WORKLOADS, load, replay
+from golden_replay import WORKLOADS, load, replay
 
 PACKAGE = Path(conicbundle.__file__).resolve().parent
 
@@ -52,8 +52,7 @@ UNREACHED = {
     "projline.IntervalConfig.apply": "acceptance spec: criterion 5's normal form",
     "projline.Moebius.apply_rat": "paper content: distinct_foliations_witness reads it",
     "projline.Moebius.from_rational": "acceptance spec: criterion 5's Moebius family",
-    "projline.ProjPoint.infinity": "import-time (projline.INF), and the token \"inf\", which "
-                                   "no golden request carries",
+    "projline.ProjPoint.infinity": "import-time: projline.INF, which the token \"inf\" reads",
     "projline._sieve": "import-time: the trial-division primes",
     "projline.quote_rat": "error path: rationals in error messages",
     "twist._circle_scan": "the fallback of _circle_solution when factoring runs past its budget",

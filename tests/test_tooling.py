@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from test_golden import load
+from golden_replay import load
 from test_imports import ALWAYS, fresh
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

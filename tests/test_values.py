@@ -5,15 +5,18 @@ exactly when of one class with equal fields, hashed as the tuple of its
 fields (so no set or dict order depends on the class), printed as
 `Name(field=value, ...)` unless the class says otherwise, and closed to
 assignment and deletion.  `selftest` prints `BiPoint`s and
-`IntervalConfig`s in its failure messages, so those reprs are output.
+`IntervalConfig`s in its failure messages, so those reprs are output.  A
+rational field takes an int or a Fraction and nothing else.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from conicbundle.conic_model import ConicModel, MarkedModel, SurfPoint, VeryTransitiveVerdict
 from conicbundle.delpezzo import BiconicModel, BinQuadForm, BiPoint
+from conicbundle.errors import InvalidModel, quote
 from conicbundle.lattice import ClassPerm, PicVector
 from conicbundle.planner import Rect, Region, SegPath, Segment
 from conicbundle.polynomial import RatPoly
@@ -114,6 +117,24 @@ def test_value_semantics(build, fields, text, twin):
         with pytest.raises(AttributeError):
             delattr(v, name)
     assert tuple(getattr(v, name) for name in fields) == values
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: ConicModel((0, v)),
+    lambda v: SurfPoint(v, 0, 0),
+    lambda v: BinQuadForm(v, 0, -1),
+    lambda v: Rect(0, v, 0, v),
+    lambda v: RatPoly((0, v)),
+    lambda v: Rotation(v, 0),
+], ids=["ConicModel", "SurfPoint", "BinQuadForm", "Rect", "RatPoly", "Rotation"])
+def test_rationals_are_ints_or_fractions_only(build):
+    # the int 1 and the Fraction 1 build the same value; a float, a string or
+    # a bool is refused, and the message names it
+    value = build(1)
+    assert value == build(Fraction(1))
+    for bad in (1.0, "1", True):
+        with pytest.raises(InvalidModel, match=re.escape(quote(bad))):
+            build(bad)
 
 
 def test_the_cases_cover_one_value_of_each_class():
