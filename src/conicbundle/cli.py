@@ -15,9 +15,10 @@ import importlib
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from . import projline as pj
-from .errors import ConicBundleError, InvalidModel, ParseError, SchemaError, quote
+from .errors import ConicBundleError, InvalidModel, ParseError, SchemaError
 
 
 class _OnFirstUse:
@@ -88,18 +89,14 @@ def _int(value, path: str) -> int:
 
 def _int_token(value, path: str) -> int:
     # a rational token without denominator: ASCII digits, no "_" or "+"
-    m = pj._RAT_RE.fullmatch(value) if isinstance(value, str) else None
-    if m is None or m.group(2) is not None:
-        raise SchemaError(path, f"not an integer token: {quote(value)}")
-    return _rat(value, path).numerator
+    return _rat(value, path, partial(pj.token_ratio, integer=True))[0]
 
 
 def _rat(value, path: str, parse=pj.parse_rat):
-    """A rational token; a P^1 token when parse is ProjPoint.from_token."""
+    """A token read by parse: a rational by default, or a P^1 or integer token."""
     try:
         return parse(value)
-    except (ParseError, ValueError) as exc:
-        # ValueError: int() refuses more digits than sys.get_int_max_str_digits()
+    except ParseError as exc:
         raise SchemaError(path, str(exc)) from None
 
 
@@ -253,9 +250,8 @@ def _cmd_verify_twist(payload):
 
 def _cmd_geiser(payload):
     image = dp.geiser(_field(payload, "", "model", _biconic),
-                      _field(payload, "", "point", _bipoint))
-    return 0, {"image": image.as_json(),
-               "second_fibration": [pj.format_rat(image.t.u0), pj.format_rat(image.t.u1)]}
+                      _field(payload, "", "point", _bipoint)).as_json()
+    return 0, {"image": image, "second_fibration": image["t"]}
 
 
 def _cmd_biconic_image(payload):

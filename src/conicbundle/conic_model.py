@@ -20,7 +20,7 @@ from .projline import (
     _equiv_candidates,
     as_rat,
     config_equiv,
-    quote_rat,
+    quote_rats,
     realizable_permutations,
 )
 
@@ -74,10 +74,6 @@ class SurfPoint(Value):
     def __init__(self, x: Rat, y: Rat, z: Rat):
         super().__init__(as_rat(x), as_rat(y), as_rat(z))
 
-    def quoted(self) -> str:
-        """(x, y, z) for an error message, each coordinate cut short by quote."""
-        return f"({quote_rat(self.x)}, {quote_rat(self.y)}, {quote_rat(self.z)})"
-
 
 def on_circle(num: int, den: int, y: Rat, z: Rat) -> bool:
     """y^2 + z^2 = num/den (den > 0), cross-multiplied in integers."""
@@ -98,7 +94,7 @@ def interval_image(model: ConicModel) -> IntervalConfig:
 def component_index(model: ConicModel, p: SurfPoint) -> int:
     """1-based index of the interval [a_{2i-1}, a_{2i}] containing x."""
     if not on_surface(model, p):
-        raise NotOnSurface(f"{p.quoted()} is not on the surface")
+        raise NotOnSurface(f"{quote_rats(p.x, p.y, p.z)} is not on the surface")
     for i in range(model.r):
         if model.roots[2 * i] <= p.x <= model.roots[2 * i + 1]:
             return i + 1
@@ -116,7 +112,7 @@ class MarkedModel(Value):
             raise InvalidModel("marks must be pairwise distinct")
         for p in marks:
             if not on_surface(model, p):
-                raise NotOnSurface(f"mark {p.quoted()} is off the surface")
+                raise NotOnSurface(f"mark {quote_rats(p.x, p.y, p.z)} is off the surface")
         super().__init__(model, marks)
 
     def mark_counts(self) -> tuple:

@@ -212,7 +212,8 @@ def geiser(model: BiconicModel, p: BiPoint) -> BiPoint:
     a_coef, b_coef, c_coef = _fiber_quadratic(model, p.xyz)
     a0, b0 = p.t.u0, p.t.u1
     if a_coef * a0 * a0 + b_coef * a0 * b0 + c_coef * b0 * b0 != 0:
-        raise NotOnSurface(f"{quote(p.xyz)} over {quote(p.t)} is not on the surface")
+        xyz = quote(p.xyz, f"({', '.join(map(format_rat, p.xyz))})")  # no repr(): digit limit
+        raise NotOnSurface(f"{xyz} over {quote(p.t)} is not on the surface")
     image = ((c_coef - a_coef) * a0 - b_coef * b0, (a_coef - c_coef) * b0 - b_coef * a0)
     if image == (0, 0):
         raise Unsupported("fiber quadratic vanishes identically over this point")

@@ -19,7 +19,7 @@ import heapq
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidModel, OnForbiddenLine, OutsideRegion, Value
-from .projline import Rat, as_rat, format_rat, quote_rat
+from .projline import Rat, as_rat, format_rat, quote_rats
 
 Point = Tuple[Rat, Rat]
 
@@ -143,10 +143,6 @@ def validate_path(region: Region, path: SegPath, start, end,
     return True
 
 
-def _quoted(p: Point) -> str:
-    return f"({quote_rat(p[0])}, {quote_rat(p[1])})"
-
-
 def find_rect_path(region: Region, start, end,
                    forbidden_x: Sequence = (), forbidden_y: Sequence = ()) -> Optional[SegPath]:
     """A validated rectilinear path from start to end inside the region.
@@ -162,10 +158,10 @@ def find_rect_path(region: Region, start, end,
     fy = set(map(as_rat, forbidden_y))
     for p, name in ((start, "start"), (end, "end")):
         if not region.contains(p):
-            raise OutsideRegion(f"{name} {_quoted(p)} is outside the region")
+            raise OutsideRegion(f"{name} {quote_rats(*p)} is outside the region")
     for p, name in ((start, "start"), (end, "end")):
         if p[0] in fx or p[1] in fy:
-            raise OnForbiddenLine(f"{name} {_quoted(p)} lies on a forbidden line")
+            raise OnForbiddenLine(f"{name} {quote_rats(*p)} lies on a forbidden line")
     if start == end:
         return SegPath(())
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import Value
-from .projline import Rat, as_rat, clear_denominators, format_rat
+from .projline import Rat, as_rat, as_ratio, clear_denominators, format_rat
 
 
 class RatPoly(Value):
@@ -63,21 +63,21 @@ class RatPoly(Value):
     def evaluate(self, x) -> Rat:
         return Fraction(*self.ratio_at(x))
 
-    def ratio_at(self, x) -> tuple:
-        """P(x) as integers (num, den), den > 0, not reduced: homogeneous Horner
-        at x = p/q with a_i = L * c_i gives (sum a_i p^i q^(d - i)) / (L q^d)."""
-        if not self.coeffs:
-            return 0, 1
+    def ratio_at(self, x, derivative: bool = False) -> tuple:
+        """P(x), or P'(x) with derivative, as integers (num, den), den > 0, not
+        reduced: homogeneous Horner at x = p/q with a_i = L * c_i gives
+        (sum a_i p^i q^(d - i)) / (L q^d), and on the i a_i for i >= 1, P'(x)."""
+        p, q = as_ratio(x)
         den, ints = self._cleared
-        p, q = x.as_integer_ratio()
+        if derivative:
+            ints = [i * a for i, a in zip(range(len(ints) - 1, 0, -1), ints)]
+        if not ints:
+            return 0, 1
         acc, qk = 0, 1
         for a in ints:
             acc = acc * p + a * qk
             qk *= q
         return acc, den * qk // q
-
-    def derivative(self) -> "RatPoly":
-        return RatPoly(tuple(c * k for k, c in enumerate(self.coeffs) if k > 0))
 
     def as_json(self) -> list:
         return [format_rat(c) for c in self.coeffs]

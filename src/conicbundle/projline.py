@@ -23,46 +23,73 @@ from .errors import InfiniteStabilizer, InvalidModel, InvalidTriple, ParseError,
 Rat = Fraction
 
 _RAT_RE = re.compile(r"(-?\d+)(?:/(-?\d+))?", re.ASCII)
+TOKEN_CHARS = 100_000  # the longest token read: int() of a digit string is quadratic
 
 
 def as_rat(value) -> Rat:
     """The one coercion to a rational: a Fraction unchanged, an int as a
     Fraction; anything else (a float, a string, a bool) is InvalidModel."""
-    if type(value) is Fraction:
-        return value
-    if type(value) is int:
-        return Fraction(value)
+    return value if type(value) is Fraction else Fraction(as_ratio(value)[0])
+
+
+def as_ratio(value) -> tuple:
+    """(num, den) of an int or a Fraction, building none; anything else is InvalidModel."""
+    if type(value) is Fraction or type(value) is int:
+        return value.as_integer_ratio()
     raise InvalidModel(f"not an int or a Fraction: {quote(value)}")
+
+
+def token_ratio(token: str, integer: bool = False) -> tuple:
+    """The one token reader: (num, den) of a canonical rational token "p" or
+    "p/q" (q positive, coprime), or with integer of an integer token "p"."""
+    m = _RAT_RE.fullmatch(token) if isinstance(token, str) else None
+    if m is None or integer and m.group(2) is not None:
+        raise ParseError(f"not {'an integer' if integer else 'a rational'} token: {quote(token)}")
+    if len(token) > TOKEN_CHARS:
+        raise ParseError(f"token longer than {TOKEN_CHARS} characters: {quote(token)}")
+    num, den = _digits(m.group(1)), _digits(m.group(2) or "1")
+    if den <= 0:
+        raise ParseError(f"{'negative' if den else 'zero'} denominator in token: {quote(token)}")
+    if gcd(num, den) != 1:
+        raise ParseError(f"non-coprime rational token: {quote(token)}")
+    return num, den
+
+
+def _digits(text: str) -> int:
+    """int(text) of a signed digit string, split at a power of ten wherever
+    int() would pass sys.get_int_max_str_digits(), as _decimal splits str()."""
+    try:
+        return int(text)
+    except ValueError:
+        if text[0] == "-":
+            return -_digits(text[1:])
+        k = len(text) // 2
+        return _digits(text[:-k]) * 10 ** k + _digits(text[-k:])
 
 
 def parse_rat(token: str) -> Rat:
     """Parse a canonical rational token "p" or "p/q" (q positive, coprime)."""
-    if not isinstance(token, str):
-        raise ParseError(f"not a rational token: {quote(token)}")
-    m = _RAT_RE.fullmatch(token)
-    if m is None:
-        raise ParseError(f"not a rational token: {quote(token)}")
-    num = int(m.group(1))
-    if m.group(2) is None:
-        return as_rat(num)
-    den = int(m.group(2))
-    if den <= 0:
-        raise ParseError(f"{'negative' if den else 'zero'} denominator in token: {quote(token)}")
-    value = Fraction(num, den)
-    if value.denominator != den:
-        raise ParseError(f"non-coprime rational token: {quote(token)}")
-    return value
+    return Fraction(*token_ratio(token))
 
 
 def format_rat(value: Rat) -> str:
     """Serialize a rational (or an int) as "p/q", omitting "/q" when q is 1."""
-    text = _decimal(value.numerator)
-    return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
+    return _ratio_token(value.numerator, value.denominator)
+
+
+def _ratio_token(num: int, den: int) -> str:
+    text = _decimal(num)
+    return text if den == 1 else f"{text}/{_decimal(den)}"
 
 
 def quote_rat(value: Rat) -> str:
     """A rational for an error message: format_rat, cut short by quote."""
     return quote(value, format_rat(value))
+
+
+def quote_rats(*values) -> str:
+    """A point (v1, v2, ...) for an error message, each value by quote_rat."""
+    return f"({', '.join(map(quote_rat, values))})"
 
 
 def _decimal(n: int) -> str:
@@ -91,7 +118,7 @@ def primitive(*ints: int) -> tuple:
         g = -g
     elif g == 1:
         return ints
-    return tuple([v // g for v in ints])
+    return (ints[0] // g, ints[1] // g) if len(ints) == 2 else tuple([v // g for v in ints])
 
 
 def clear_denominators(values) -> tuple:
@@ -237,7 +264,7 @@ class ProjPoint(Value):
 
     @staticmethod
     def from_rat(value: Rat) -> "ProjPoint":
-        return ProjPoint(*value.as_integer_ratio())
+        return ProjPoint(*as_ratio(value))
 
     @staticmethod
     def infinity() -> "ProjPoint":
@@ -253,11 +280,12 @@ class ProjPoint(Value):
         return Fraction(self.u0, self.u1)
 
     def to_token(self) -> str:
-        return "inf" if self.is_infinity else format_rat(self.to_rat())
+        sign = -1 if self.u1 < 0 else 1  # makes the denominator positive
+        return "inf" if self.is_infinity else _ratio_token(sign * self.u0, sign * self.u1)
 
     @staticmethod
     def from_token(token: str) -> "ProjPoint":
-        return INF if token == "inf" else ProjPoint.from_rat(parse_rat(token))
+        return INF if token == "inf" else ProjPoint(*token_ratio(token))
 
     def __repr__(self):
         return f"ProjPoint({self.to_token()})"
@@ -285,11 +313,10 @@ def ladder(lo: Rat, hi: Rat) -> Iterator[list]:
     """One rung per denominator den of LADDER: lo + (num/den)(hi - lo) for
     0 < num < den, each strictly between lo and hi."""
     # With lo = a/b and hi = c/d that point is (ad(den - num) + cb num) / (bd den).
-    a, b = lo.as_integer_ratio()
-    c, d = hi.as_integer_ratio()
+    (a, b), (c, d) = as_ratio(lo), as_ratio(hi)
     ad, cb, bd = a * d, c * b, b * d
-    for den in LADDER:
-        yield [Fraction(ad * (den - num) + cb * num, bd * den) for num in range(1, den)]
+    return ([Fraction(ad * (den - num) + cb * num, bd * den) for num in range(1, den)]
+            for den in LADDER)
 
 
 class Moebius(Value):

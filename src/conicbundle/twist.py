@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, islice
-from math import gcd, isqrt
+from math import isqrt
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .conic_model import ConicModel, SurfPoint, on_circle, on_surface
@@ -28,7 +28,8 @@ from .errors import (
     Value,
 )
 from .polynomial import RatPoly, solve_linear
-from .projline import Rat, _factor, as_rat, format_rat, ladder, primitive, quote_rat
+from .projline import (Rat, _factor, as_rat, as_ratio, format_rat, ladder, primitive, quote_rat,
+                       quote_rats)
 
 
 class Rotation(Value):
@@ -41,15 +42,14 @@ class Rotation(Value):
 
     def __init__(self, c: Rat, s: Rat):
         """The rotation (c, s); the one check that c^2 + s^2 = 1."""
-        c, s = as_rat(c), as_rat(s)
         # c^2 + s^2 = 1 in integers: with c = a/h and s = b/k in lowest terms,
         # a^2 k^2 + b^2 h^2 = h^2 k^2 makes h^2 divide a^2 k^2, so h | k, and
         # k | h alike; hence h = k and a^2 + b^2 = h^2, and conversely.
-        h = c.denominator
-        if s.denominator != h or c.numerator ** 2 + s.numerator ** 2 != h * h:
-            raise InvalidModel(f"({quote_rat(c)}, {quote_rat(s)}) is not on the unit circle")
+        (a, h), (b, k) = as_ratio(c), as_ratio(s)
+        if k != h or a * a + b * b != h * h:
+            raise InvalidModel(f"{quote_rats(c, s)} is not on the unit circle")
         # z = (h + a) + ib: (h + a)^2 - b^2 = 2a(h + a) and N(z) = 2h(h + a)
-        super().__init__(*Rotation._of(h + c.numerator, s.numerator)._key)
+        super().__init__(*Rotation._of(h + a, b)._key)
 
     @classmethod
     def _of(cls, q: int, p: int) -> "Rotation":
@@ -89,7 +89,7 @@ class Rotation(Value):
 def rotation_from_param(lam: Rat) -> Rotation:
     """psi(lam) = ((1 - lam^2)/(1 + lam^2), 2 lam/(1 + lam^2)), the Gaussian
     integer q + ip for lam = p/q."""
-    p, q = lam.as_integer_ratio()
+    p, q = as_ratio(lam)
     return Rotation._of(q, p)
 
 
@@ -235,7 +235,8 @@ def synthesize_twist(model: ConicModel, pairs: Sequence,
         for role, point, fiber in (("source", p, (num, den)),
                                    ("target", q, (num, den) if same else model.q_ratio(q.x))):
             if not on_circle(*fiber, point.y, point.z):
-                raise NotOnSurface(f"{role} point {point.quoted()} is off the surface")
+                raise NotOnSurface(f"{role} point {quote_rats(point.x, point.y, point.z)}"
+                                   " is off the surface")
         if not same:
             raise FiberMismatch(f"pair spans two fibers: x = {quote_rat(p.x)}"
                                 f" vs x = {quote_rat(q.x)}")
@@ -248,7 +249,7 @@ def synthesize_twist(model: ConicModel, pairs: Sequence,
 def apply_twist(model: ConicModel, twist: TwistMap, p: SurfPoint) -> SurfPoint:
     """Rotate the point within its fiber; exact and surface-preserving."""
     if not on_surface(model, p):
-        raise NotOnSurface(f"{p.quoted()} is not on the surface")
+        raise NotOnSurface(f"{quote_rats(p.x, p.y, p.z)} is not on the surface")
     y, z = twist.fiber_rotation(p.x).apply(p.y, p.z)
     return SurfPoint(p.x, y, z)
 
@@ -266,11 +267,11 @@ def tangent_coefficient(twist: TwistMap, x0: Rat) -> Rat:
     directions.  The fiber rotation q + ip has angle theta0 + 2 atan lambda(x),
     so kappa = 2 cos theta lambda'/(1 + lambda^2), cos theta = (q^2 - p^2)/(q^2 + p^2).
     """
-    rot = twist.fiber_rotation(x0)
     num, den = twist.lam.ratio_at(x0)
-    dnum, dden = twist.lam.derivative().ratio_at(x0)
-    return Fraction(2 * (rot.q ** 2 - rot.p ** 2) * dnum * den * den,
-                    (rot.q ** 2 + rot.p ** 2) * dden * (den * den + num * num))
+    dnum, dden = twist.lam.ratio_at(x0, derivative=True)
+    q, p = _gauss_mul((twist.base.q, twist.base.p), (den, num))  # fiber_rotation, unreduced
+    return Fraction(2 * (q * q - p * p) * dnum * den * den,
+                    (q * q + p * p) * dden * (den * den + num * num))
 
 
 _CIRCLE_BOUND = 10 ** 10  # largest num * den of rho the circle search tries
@@ -342,9 +343,7 @@ def find_fiber_point(model: ConicModel, x: Rat) -> Optional[SurfPoint]:
     """A rational surface point over x, when the fiber circle has one.
 
     A miss is decided on the integers of Q(x) and builds no Fraction."""
-    num, den = model.q_ratio(x)
-    g = gcd(num, den)
-    num, den = num // g, den // g
+    den, num = primitive(*model.q_ratio(x)[::-1])  # den > 0 leads, so it stays positive
     got = _circle_solution(num, den)
     if got is None:
         return None
@@ -400,14 +399,14 @@ def verify_twist(model: ConicModel, twist: TwistMap) -> TwistReport:
     failures = []
     inv = inverse_twist(twist)
     points = sample_surface_points(model)
-    fibers = {}  # (num, den) of x -> (Q(x), rotation, inverse rotation)
+    fibers = {}  # (num, den) of x -> (q_ratio(x), rotation, inverse rotation)
     for p in points:
         key = p.x.as_integer_ratio()
         if key not in fibers:
-            fibers[key] = (model.q_at(p.x), twist.fiber_rotation(p.x), inv.fiber_rotation(p.x))
+            fibers[key] = (model.q_ratio(p.x), twist.fiber_rotation(p.x), inv.fiber_rotation(p.x))
         rho, rot, back = fibers[key]
         y, z = rot.apply(p.y, p.z)
-        if y * y + z * z != rho:
+        if not on_circle(*rho, y, z):
             failures.append(f"membership broken over x = {p.x}")
             continue
         if back.apply(y, z) != (p.y, p.z):

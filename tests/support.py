@@ -435,9 +435,9 @@ def hermite_interpolate(nodes) -> RatPoly:
 
 
 # ---------------------------------------------------------------------------
-# Fraction references: the integer kernels of RatPoly.evaluate,
-# ConicModel.q_at, on_surface, ladder, the rotations and solve_linear, one
-# Fraction operation at a time.
+# Fraction references: the integer kernels of RatPoly.evaluate and of
+# RatPoly.ratio_at's derivative, ConicModel.q_at, on_surface, ladder, the
+# rotations and solve_linear, one Fraction operation at a time.
 
 
 def reference_evaluate(poly, x):
@@ -447,6 +447,11 @@ def reference_evaluate(poly, x):
     for c in reversed(poly.coeffs):
         acc = acc * x + c
     return acc
+
+
+def reference_derivative(poly):
+    """The derivative, coefficient by coefficient in Fractions."""
+    return RatPoly(tuple(k * c for k, c in enumerate(poly.coeffs) if k > 0))
 
 
 def reference_q_at(model, x):

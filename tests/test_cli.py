@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import re
 import sys
 from fractions import Fraction
@@ -24,7 +25,7 @@ from conicbundle.projline import ProjPoint
 from conicbundle.projline import interval_image as arc_image
 
 import support
-from golden_replay import COLUMNS, USAGE_CASES
+from golden_replay import COLUMNS, USAGE_CASES, load
 
 
 def invoke(capsys, command, payload, extra=()):
@@ -151,6 +152,79 @@ def test_twist_synthesis_and_verify_roundtrip(capsys):
     code, out, _ = invoke(capsys, "verify-twist",
                           {"model": payload["model"], "twist": out["twist"]})
     assert code == 0 and out["passed"] is True
+
+
+def test_every_golden_twist_answer_verifies(capsys):
+    entries = [entry for workload in ("fiber-miss", "fiber-hit") for entry in load(workload)
+               if entry["argv"][0] == "twist"]
+    assert len(entries) > 20 and all(entry["exit"] == 0 for entry in entries)
+    for entry in entries:
+        request, answer = json.loads(entry["stdin"]), json.loads(entry["stdout"])
+        code, out, err = invoke(capsys, "verify-twist",
+                                {"model": request["model"], "twist": answer["twist"]})
+        assert (code, out) == (0, answer["report"]), err
+
+
+def test_geiser_twice_returns_every_golden_point(capsys):
+    entries = [entry for entry in load("decide") if entry["argv"][0] == "geiser"]
+    assert entries
+    for entry in entries:
+        request = json.loads(entry["stdin"])
+        point = request["point"]
+        expected = delpezzo.BiPoint(tuple(int(v) for v in point["xyz"]),
+                                    ProjPoint(*(int(v) for v in point["t"]))).as_json()
+        code, out, _ = invoke(capsys, "geiser", request)
+        assert code == 0
+        code, out, _ = invoke(capsys, "geiser", {"model": request["model"], "point": out["image"]})
+        assert (code, out["image"]) == (0, expected)
+
+
+def seeded_twist_request(n_pairs):
+    """roots (0, 1) and n_pairs pairs of sphere points, the stereographic
+    images of (s, t) with s and t of height 10^3, each turned by a rotation
+    psi(lam) with lam of height 10^6, all drawn from random.Random(11)."""
+    rng = random.Random(11)
+
+    def rat(height):
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+    pairs, xs = [], set()
+    while len(pairs) < n_pairs:
+        s, t, spin = rat(10 ** 3), rat(10 ** 3), twist.rotation_from_param(rat(10 ** 6))
+        n = s * s + t * t
+        x, y, z = n / (n + 1), s / (n + 1), t / (n + 1)  # y^2 + z^2 = x (1 - x)
+        if x not in xs:
+            xs.add(x)
+            v, w = spin.apply(y, z)
+            pairs.append([{"x": str(x), "y": str(y), "z": str(z)},
+                          {"x": str(x), "y": str(v), "z": str(w)}])
+    return {"model": UNIT, "pairs": pairs}
+
+
+@pytest.mark.parametrize("limit", ["640", "0"], ids=["least-limit", "no-limit"])
+def test_twist_answers_past_the_digit_limit_read_back(limit):
+    # In a child with int_max_str_digits at its least value (640) and with
+    # no limit at all, 20- and 24-pair twists print lambda parts past the
+    # default 4,300 digits, and verify-twist reads each back and passes; a
+    # token past projline.TOKEN_CHARS stays a schema error under either limit.
+    def cli_run(command, request):
+        proc = support.run_python("-X", f"int_max_str_digits={limit}", "-m", "conicbundle.cli",
+                                  command, stdin=json.dumps(request))
+        return proc.returncode, proc.stdout, proc.stderr
+
+    for n_pairs in (20, 24):
+        request = seeded_twist_request(n_pairs)
+        code, out, err = cli_run("twist", request)
+        assert code == 0, err
+        answer = json.loads(out)
+        assert len(answer["twist"]["lambda"][0]) > 6000
+        code, out, err = cli_run("verify-twist", {"model": UNIT, "twist": answer["twist"]})
+        assert (code, json.loads(out)) == (0, answer["report"]), err
+    long_lambda = {"base": {"c": "1", "s": "0"}, "lambda": ["1" + "0" * projline.TOKEN_CHARS]}
+    code, out, err = cli_run("verify-twist", {"model": UNIT, "twist": long_lambda})
+    report = json.loads(err)
+    assert (code, report["error"], report["field"]) == (2, "schema", "twist.lambda[0]")
+    assert f"longer than {projline.TOKEN_CHARS} characters" in report["message"]
 
 
 def test_twist_fiber_mismatch_is_data_error(capsys):
@@ -424,11 +498,11 @@ def test_malformed_input_is_data_error_without_traceback(command, payload):
     ("biconic-image", {"model": dict(BICONIC, k=3)}, "model.k"),
     ("biconic-image", {"model": dict(BICONIC, k=0)}, "model.k"),
     *MISREAD,
-    # more digits than int() converts (sys.get_int_max_str_digits())
-    ("decide-birational", {"model1": {"roots": ["-1" + "0" * 5000, "0"]}, "model2": UNIT},
-     "model1.roots[0]"),
-    ("geiser", {"model": BICONIC, "point": {"xyz": ["1" + "0" * 5000, "0", "1"], "t": ["1", "2"]}},
-     "point.xyz[0]"),
+    # tokens longer than the reader's ceiling, projline.TOKEN_CHARS
+    ("decide-birational", {"model1": {"roots": ["-1" + "0" * projline.TOKEN_CHARS, "0"]},
+                           "model2": UNIT}, "model1.roots[0]"),
+    ("geiser", {"model": BICONIC, "point": {"xyz": ["1" + "0" * projline.TOKEN_CHARS, "0", "1"],
+                                            "t": ["1", "2"]}}, "point.xyz[0]"),
     *PADDED,
 ])
 def test_schema_error_names_field(capsys, command, payload, field):
@@ -437,6 +511,24 @@ def test_schema_error_names_field(capsys, command, payload, field):
     report = json.loads(err)
     assert report["error"] == "schema"
     assert report["field"] == field
+
+
+def test_tokens_past_the_digit_limit_are_read_in_full(capsys):
+    # 5,001 digits, past the 4,300 that int() converts by default and below
+    # the reader's ceiling; the limit itself stays as it was
+    limit = sys.get_int_max_str_digits()
+    big = "1" + "0" * 5000
+    code, out, _ = invoke(capsys, "decide-birational",
+                          {"model1": {"roots": ["-" + big, "0"]}, "model2": UNIT})
+    assert code == 0 and out["answer"] is True
+    witness = support.moebius_from_json(out["witness"])
+    source = IntervalConfig.from_rat_pairs([(-10 ** 5000, 0)])
+    assert support.witness_maps_config(witness, source, IntervalConfig.from_rat_pairs([(0, 1)]),
+                                       (0,))
+    code, _, err = invoke(capsys, "geiser",
+                          {"model": BICONIC, "point": {"xyz": [big, "0", "1"], "t": ["1", "2"]}})
+    assert code == 2 and json.loads(err)["error"] == "NotOnSurface"
+    assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize("argv, target", [

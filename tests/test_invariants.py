@@ -9,10 +9,11 @@ argument is gone in Python 3.12.  Every value class derives from
 `errors.Value`, whose `__init__` is the one writer of a slot: no dataclass,
 and no `cached_property` (a constructor computes what its value derives).
 Surface membership and the fiber transport are decided in integers: on valid
-input they construct no Fraction at all.  An argument becomes a Fraction in
-one place, projline.as_rat.  The golden corpus builds no more Fractions per
-subcommand than its ceiling, and the decisions build them only to decode a
-request and to print an answer.
+input they construct no Fraction at all, and the jet coefficient builds one,
+its result.  An argument becomes a Fraction in one place, projline.as_rat,
+and a request token is read in one place, projline.token_ratio.  The golden
+corpus builds no more Fractions per subcommand than its ceiling, and the
+decisions build them only to decode a rational token.
 """
 
 import ast
@@ -23,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import conicbundle
-from conicbundle import Rotation, on_surface, rotation_from_param
+from conicbundle import Rotation, SurfPoint, on_surface, rotation_from_param
 from conicbundle import twist as tw
 
 import support
@@ -118,15 +119,20 @@ def test_values_have_one_writer():
 def test_membership_and_transport_build_no_fraction(monkeypatch):
     # Fraction.__new__ is counted while on_surface and twist._transport run
     # on seeded points of every height and r = 1, 2, 3 and on the identity,
-    # the half turn and other rotations; the inputs are built beforehand.
+    # the half turn and other rotations, and while tangent_coefficient reads
+    # a seeded jet of each transport; the inputs are built beforehand.
     rng = random.Random(5)
-    cases = []
+    cases, jets = [], []
     for height in (6, 10 ** 3, 10 ** 6):
         for r in (1, 2, 3):
             model, p = support.model_through_point(rng, r, height, zero_share=0)
             spin = rotation_from_param(Fraction(rng.randint(1, height), rng.randint(1, height)))
             for to in ((p.y, p.z), (-p.y, -p.z), support.reference_apply(spin, p.y, p.z)):
                 cases.append((model, p, to))
+                x0 = next(x for rung in tw.ladder(*model.roots[:2]) for x in rung if x != p.x)
+                mu0 = Fraction(rng.randint(-height, height), rng.randint(1, height))
+                twist = tw.synthesize_twist(model, [(p, SurfPoint(p.x, *to))], jets=[(x0, mu0)])
+                jets.append((twist, x0, mu0))
     made = []
     new = Fraction.__new__
 
@@ -137,9 +143,12 @@ def test_membership_and_transport_build_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counting)
     members = [on_surface(model, p) for model, p, _ in cases]
     rotations = [tw._transport(*model.q_ratio(p.x), (p.y, p.z), to) for model, p, to in cases]
+    integer_made = len(made)
+    kappas = [tw.tangent_coefficient(twist, x0) for twist, x0, _ in jets]
     monkeypatch.undo()
-    assert made == []
+    assert integer_made == 0 and len(made) == len(jets)
     assert all(members) and all(isinstance(rot, Rotation) for rot in rotations)
+    assert kappas == [2 * mu0 for _, _, mu0 in jets]
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)  # the constructor is back
 
 
@@ -167,6 +176,23 @@ def test_one_coercion_to_fraction():
     assert found == allowed, [f"line {node.lineno}" for node in found if node not in allowed]
 
 
+def _names_the_token_pattern(node):
+    return (isinstance(node, ast.Name) and node.id == "_RAT_RE" and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute) and node.attr == "_RAT_RE")
+
+
+def test_one_token_reader():
+    # the token pattern is matched in projline.token_ratio alone: parse_rat,
+    # ProjPoint.from_token and the CLI's integer tokens all read through it
+    trees = dict(_trees())
+    reader = next(node for node in ast.walk(trees["projline.py"])
+                  if isinstance(node, ast.FunctionDef) and node.name == "token_ratio")
+    inside = [node for node in ast.walk(reader) if _names_the_token_pattern(node)]
+    found = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in ast.walk(tree)
+             if _names_the_token_pattern(node) and node not in inside]
+    assert len(inside) == 1 and found == []
+
+
 # Fraction.__new__ calls per subcommand over the whole golden corpus.  Python
 # 3.12 and later build arithmetic results without __new__, so there the
 # counts fall below these ceilings; a change that raises one says why.
@@ -174,21 +200,21 @@ FRACTION_CEILINGS = {
     "decide-birational": 684,
     "decide-iso": 645,
     "decide-verytransitive": 753,
-    "realizable-perms": 300,
-    "stabilizer": 186,
-    "geiser": 168,
-    "biconic-image": 152,
+    "realizable-perms": 0,
+    "stabilizer": 0,
+    "geiser": 108,
+    "biconic-image": 108,
     "lattice": 0,
     "region-path": 1684,
-    "twist": 16784,
-    "verify-twist": 9162,
-    "selftest": 1143,
+    "twist": 14350,
+    "verify-twist": 7889,
+    "selftest": 847,
 }
-# These subcommands build a Fraction only in parse_rat, decoding a request,
-# and in to_token, printing an answer.
+# These subcommands build a Fraction only in parse_rat, decoding a rational
+# token of the request; P^1 and integer tokens, and every answer, build none.
 DECISIONS = ("decide-birational", "decide-iso", "decide-verytransitive", "realizable-perms",
              "stabilizer", "geiser", "biconic-image")
-DECODE_AND_PRINT = {"parse_rat", "to_token"}
+DECODE_AND_PRINT = {"parse_rat"}
 
 
 def test_fraction_census_stays_under_its_ceilings(monkeypatch):

@@ -27,7 +27,7 @@ UNREACHED = {
     "cli._OnFirstUse.__getattr__": "import path: read only when cli runs as __main__",
     "cli.main": "entry point: `python -m conicbundle.cli`",
     "cli._LongInt.__repr__": "error path: names an integer past the digit limit in a schema error",
-    "conic_model.SurfPoint.quoted": "error path: the NotOnSurface messages",
+    "conic_model.ConicModel.q_at": "acceptance spec: criterion 1's surface equation",
     "delpezzo.distinct_foliations_witness": "paper content that biconic-image will print",
     "delpezzo.second_fibration": "paper content: distinct_foliations_witness reads it",
     "errors.SchemaError.__init__": "error path: every schema error",
@@ -39,7 +39,6 @@ UNREACHED = {
     "lattice.PicVector.__repr__": "the repr that tests/test_values.py pins",
     "lattice.conic_fiber_partner": "acceptance spec (criterion 10), and paper content for lattice",
     "lattice.e0": "acceptance spec: criterion 10 builds e0 - e_i",
-    "planner._quoted": "error path: the OutsideRegion and OnForbiddenLine messages",
     "polynomial.RatPoly.__add__": "acceptance spec: criterion 2's orthogonality identity",
     "polynomial.RatPoly.__mul__": "acceptance spec: criterion 2's orthogonality identity",
     "polynomial.RatPoly.__sub__": "acceptance spec: criterion 2's orthogonality identity",
@@ -55,6 +54,8 @@ UNREACHED = {
     "projline.ProjPoint.infinity": "import-time: projline.INF, which the token \"inf\" reads",
     "projline._sieve": "import-time: the trial-division primes",
     "projline.quote_rat": "error path: rationals in error messages",
+    "projline.quote_rats": "error path: the points of the NotOnSurface, OutsideRegion, "
+                           "OnForbiddenLine and unit-circle messages",
     "twist._circle_scan": "the fallback of _circle_solution when factoring runs past its budget",
 }
 

@@ -64,7 +64,7 @@ def test_ratpoly_arithmetic_and_eval():
     assert (p + q).coeffs == (1, 2, 1)
     assert (p - p).is_zero
     assert p.evaluate(Fraction(1, 2)) == 2
-    assert q.derivative().coeffs == (0, 2)
+    assert q.ratio_at(Fraction(5, 3), derivative=True) == (10, 3)
     assert RatPoly((1, 0, 0)).coeffs == (1,)  # trailing zeros trimmed
     assert ((p - p).coeffs, RatPoly.one().coeffs, RatPoly.zero().coeffs) == ((), (1,), ())
 
@@ -84,6 +84,8 @@ def test_evaluate_matches_fraction_horner():
     for poly in polys:
         for x in xs + [random_fraction(rng, rng.choice((9, 10 ** 6))) for _ in range(4)]:
             assert poly.evaluate(x) == support.reference_evaluate(poly, x), (poly, x)
+            slope = support.reference_evaluate(support.reference_derivative(poly), x)
+            assert Fraction(*poly.ratio_at(x, derivative=True)) == slope, (poly, x)
     assert max(len(p.coeffs) - 1 for p in polys) == 14
     # the cached integer form stays out of equality and hashing
     poly = polys[-1]
@@ -313,7 +315,7 @@ def test_interpolate_hermite_mixed():
     # p(0) = 1, p'(0) = 0, p(1) = 2 -> 1 + x^2
     poly = interpolate([(0, 1, 0), (1, 2)])
     assert poly.coeffs == (1, 0, 1)
-    assert poly.derivative().evaluate(0) == 0
+    assert poly.ratio_at(0, derivative=True)[0] == 0
 
 
 def test_interpolate_duplicate_node():
@@ -373,7 +375,7 @@ def test_interpolate_random_agreement():
         for node in nodes:
             assert poly.evaluate(node[0]) == node[1]
             if len(node) > 2:
-                assert poly.derivative().evaluate(node[0]) == node[2]
+                assert Fraction(*poly.ratio_at(node[0], derivative=True)) == node[2]
 
 
 def test_interpolate_matches_sympy_on_values():
@@ -612,7 +614,8 @@ def reference_tangent_coefficient(twist, x0):
     one = RatPoly.one()
     numer = twist.base.s * (one - lam * lam) + twist.base.c * (2 * lam)
     denom = one + lam * lam
-    derivative = numer.derivative() * denom - numer * denom.derivative()
+    d = support.reference_derivative
+    derivative = d(numer) * denom - numer * d(denom)
     x0 = Fraction(x0)
     return derivative.evaluate(x0) / (denom.evaluate(x0) ** 2)
 

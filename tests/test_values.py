@@ -6,7 +6,8 @@ fields (so no set or dict order depends on the class), printed as
 `Name(field=value, ...)` unless the class says otherwise, and closed to
 assignment and deletion.  `selftest` prints `BiPoint`s and
 `IntervalConfig`s in its failure messages, so those reprs are output.  A
-rational field takes an int or a Fraction and nothing else.
+rational field takes an int or a Fraction and nothing else, and so does a
+function that reads only a rational's integer ratio.
 """
 
 import re
@@ -20,8 +21,8 @@ from conicbundle.errors import InvalidModel, quote
 from conicbundle.lattice import ClassPerm, PicVector
 from conicbundle.planner import Rect, Region, SegPath, Segment
 from conicbundle.polynomial import RatPoly
-from conicbundle.projline import ONE, ZERO, Interval, IntervalConfig, Moebius, ProjPoint
-from conicbundle.twist import Rotation, TwistMap, TwistReport
+from conicbundle.projline import ONE, ZERO, Interval, IntervalConfig, Moebius, ProjPoint, ladder
+from conicbundle.twist import Rotation, TwistMap, TwistReport, rotation_from_param
 
 SEG = Segment((0, 0), (0, 1))
 SEG2 = Segment((0, 1), (2, 1))
@@ -126,10 +127,16 @@ def test_value_semantics(build, fields, text, twin):
     lambda v: Rect(0, v, 0, v),
     lambda v: RatPoly((0, v)),
     lambda v: Rotation(v, 0),
-], ids=["ConicModel", "SurfPoint", "BinQuadForm", "Rect", "RatPoly", "Rotation"])
+    lambda v: ProjPoint.from_rat(v),
+    lambda v: rotation_from_param(v),
+    lambda v: list(ladder(v, 2)),
+    lambda v: RatPoly((1, 2)).ratio_at(v),
+], ids=["ConicModel", "SurfPoint", "BinQuadForm", "Rect", "RatPoly", "Rotation",
+        "ProjPoint.from_rat", "rotation_from_param", "ladder", "RatPoly.ratio_at"])
 def test_rationals_are_ints_or_fractions_only(build):
     # the int 1 and the Fraction 1 build the same value; a float, a string or
-    # a bool is refused, and the message names it
+    # a bool is refused, and the message names it; the readers of an integer
+    # ratio refuse them too
     value = build(1)
     assert value == build(Fraction(1))
     for bad in (1.0, "1", True):
