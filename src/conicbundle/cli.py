@@ -10,14 +10,13 @@ object to stderr whose "error" is "malformed-json", "schema" (with the
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import json
+import re
 import sys
-from fractions import Fraction
+from contextlib import suppress
 from functools import partial
 from itertools import islice
-from . import projline as pj
 from .errors import ConicBundleError, InvalidModel, ParseError, SchemaError
 
 
@@ -37,13 +36,13 @@ if __name__ == "__main__":
     # A CLI process loads only the layers its subcommand reads.  Imported, the
     # module binds every layer now: it keeps them when a caller purges and
     # re-imports the package, and perfbench's tracer finds them all loaded.
-    cm, dp, lat, pl, poly, tw, random = (_OnFirstUse(alias, name) for alias, name in (
+    cm, dp, lat, pl, pj, poly, tw, random = (_OnFirstUse(alias, name) for alias, name in (
         ("cm", ".conic_model"), ("dp", ".delpezzo"), ("lat", ".lattice"), ("pl", ".planner"),
-        ("poly", ".polynomial"), ("tw", ".twist"), ("random", "random")))
+        ("pj", ".projline"), ("poly", ".polynomial"), ("tw", ".twist"), ("random", "random")))
 else:
     import random
     from . import conic_model as cm, delpezzo as dp, lattice as lat
-    from . import planner as pl, polynomial as poly, twist as tw
+    from . import planner as pl, projline as pj, polynomial as poly, twist as tw
 
 
 def _dump(obj) -> str:
@@ -92,10 +91,10 @@ def _int_token(value, path: str) -> int:
     return _rat(value, path, partial(pj.token_ratio, integer=True))[0]
 
 
-def _rat(value, path: str, parse=pj.parse_rat):
+def _rat(value, path: str, parse=None):
     """A token read by parse: a rational by default, or a P^1 or integer token."""
     try:
-        return parse(value)
+        return (parse or pj.parse_rat)(value)
     except ParseError as exc:
         raise SchemaError(path, str(exc)) from None
 
@@ -207,9 +206,8 @@ def _cmd_decide_iso(payload):
 
 def _cmd_decide_verytransitive(payload):
     verdict = cm.decide_very_transitive(_field(payload, "", "model", _marked))
-    obj = verdict.as_json()
-    obj["answer"] = verdict.very_transitive
-    return (0 if verdict.very_transitive else 1), obj
+    return (0 if verdict.very_transitive else 1), {**verdict.as_json(),
+                                                   "answer": verdict.very_transitive}
 
 
 def _cmd_realizable_perms(payload):
@@ -325,7 +323,7 @@ def _selftest(seed: int) -> dict:
         while len(configs) < 6 * r:  # six configurations of each r
             values = rng.sample(range(-40, 41), 2 * r)
             dens = [rng.choice((1, 1, 2, 3)) for _ in values]
-            points = sorted(Fraction(v, d) for v, d in zip(values, dens))
+            points = sorted(pj.Rat(v, d) for v, d in zip(values, dens))
             if len(set(points)) < 2 * r:
                 continue
             config = pj.IntervalConfig.from_rat_pairs(zip(points[::2], points[1::2]))
@@ -335,7 +333,7 @@ def _selftest(seed: int) -> dict:
                 (got is not None and got[0] == pj.Moebius.identity(),
                  f"self-equivalence missed the identity on {config}")))
 
-    spins = [tw.rotation_from_param(lam) for lam in (0, 1, Fraction(1, 2), 2, Fraction(2, 3))]
+    spins = [tw.rotation_from_param(lam) for lam in (0, 1, pj.Rat(1, 2), 2, pj.Rat(2, 3))]
     for roots in ((0, 1), (0, 1, 2, 3), (-2, -1, 1, 2), (0, 1, 4, 5, 8, 9)):
         model = cm.ConicModel(roots)
         fibers = [p for lo, hi in zip(model.roots[::2], model.roots[1::2])
@@ -371,11 +369,8 @@ def _selftest(seed: int) -> dict:
             x0, y0 = rng.randint(0, 6), rng.randint(0, 6)
             rects.append(pl.Rect(x0, x0 + rng.randint(1, 3), y0, y0 + rng.randint(1, 3)))
         region = pl.Region(tuple(rects))
-        a = rects[0]
-        b = rects[-1]
-        start = ((a.x0 + a.x1) / 2, (a.y0 + a.y1) / 2)
-        end = ((b.x0 + b.x1) / 2, (b.y0 + b.y1) / 2)
-        pl.find_rect_path(region, start, end)
+        mid = [((r.x0 + r.x1) / 2, (r.y0 + r.y1) / 2) for r in (rects[0], rects[-1])]
+        pl.find_rect_path(region, *mid)
         suites["planner"].append([])
 
     report = [{"name": name, "cases": len(cases), "failures": [f for case in cases for f in case]}
@@ -400,77 +395,97 @@ _HANDLERS = {
 SUBCOMMANDS = (*_HANDLERS, "selftest")
 
 
-_WIDTH = 78  # argparse's help width: the terminal's 80 columns less 2
+def _stop(command, error=None):
+    """Print the help of command's parser, or with None the top level's, and exit 0;
+    or with an error, its usage and the error, and exit 2: argparse's texts at 78 columns."""
+    prog = "conicbundle" if command is None else f"conicbundle {command}"
+    if command is None:
+        choices = "{" + ",".join(SUBCOMMANDS) + "}"
+        usage = f"usage: {prog} [-h]\n{' ' * 19}{choices}\n{' ' * 19}..."
+        text = ("Exact decision procedures for real conic-bundle models.\n\n"
+                f"positional arguments:\n  {choices}\n\noptions:\n"
+                "  -h, --help            show this help message and exit\n")
+    else:
+        flag, about = (("--seed SEED", "") if command == "selftest"
+                       else ("--input INPUT", "    JSON request file (default: stdin)"))
+        usage = f"usage: {prog} [-h] [{flag}]"
+        usage += ("\n" + " " * (len(prog) + 8) if len(usage) > 60 else " ") + "[--output OUTPUT]"
+        text = (f"options:\n  -h, --help       show this help message and exit\n  {flag}{about}\n"
+                "  --output OUTPUT  output file (default: stdout)\n")
+    out = sys.stdout or sys.stderr if error is None else sys.stderr  # as argparse falls back
+    with suppress(AttributeError, OSError):  # and skips a stream it cannot write to
+        out.write(f"{usage}\n\n{text}" if error is None else f"{usage}\n{prog}: error: {error}\n")
+    raise SystemExit(0 if error is None else 2)
 
 
-def _usage(prog: str, *parts: str) -> str:
-    """argparse 3.11's usage text at _WIDTH, which every version prints
-    verbatim: parts packed greedily after "usage: prog", a wrapped part
-    aligned under the first."""
-    indent = " " * len(f"usage: {prog} ")
-    lines = [f"usage: {prog}"]
-    for part in parts:
-        if len(lines[-1]) + 1 + len(part) > _WIDTH:
-            lines.append(indent + part)
+def _option(arg: str, names: tuple, command):
+    """How the parser with option strings names reads arg before any "--": None for
+    a positional, else (its option string, "" if it has none; the attached argument or None)."""
+    if arg[:1] != "-" or len(arg) == 1 or re.match(r"-\d+$|-\d*\.\d+$", arg):
+        return None  # a negative number too: no option string here looks like one
+    head, tail = arg.split("=", 1) if "=" in arg else (arg, None)
+    if arg in names or tail is not None and head in names:
+        return head, tail
+    found = ([(name, tail) for name in names if name.startswith(head)] if arg[1] == "-"
+             else [(arg[:2], arg[2:])] * (arg[:2] in names))  # -h takes the rest attached
+    if len(found) > 1:
+        _stop(command, f"ambiguous option: {arg} could match {', '.join(dict(found))}")
+    return found[0] if found else None if " " in arg else ("", None)
+
+
+def _read_argv(argv) -> dict:
+    """The command, input, seed and output of a command line, which every interpreter
+    reads as argparse 3.11 read it with the parser this CLI once built."""
+    into, extras, args, command = {"input": None, "seed": 0, "output": None}, [], list(argv), None
+    while True:  # the top-level parser reads up to the command, the command's the rest
+        names = ("-h", "--help") + (() if command is None else (
+            "--seed" if command == "selftest" else "--input", "--output"))
+        end = args.index("--") if "--" in args else len(args)
+        found = [_option(arg, names, command) for arg in args[:end]] + [None] * (len(args) - end)
+        steps = iter(range(len(args)))
+        for i in steps:
+            name, explicit = found[i] or (None, None)
+            if command is None and name is None and args[i:] != ["--"]:
+                if args[i] not in SUBCOMMANDS:
+                    _stop(None, f"argument command: invalid choice: {args[i]!r} "
+                                f"(choose from {', '.join(map(repr, SUBCOMMANDS))})")
+                command, args = args[i], args[i + 1:]
+                break
+            if not name:
+                extras.append(args[i])
+            elif name in ("-h", "--help"):  # -hh reads as -h -h
+                rest = explicit.lstrip("h") if explicit and name == "-h" else explicit
+                _stop(command, None if explicit is None or explicit and not rest
+                      else f"argument -h/--help: ignored explicit argument {rest!r}")
+            else:
+                if explicit is None:
+                    if i + 1 >= end or found[i + 1]:
+                        _stop(command, f"argument {name}: expected one argument")
+                    explicit = args[next(steps)]  # the next argument, skipped
+                try:  # argparse drops a "--" from an option's arguments
+                    into[name[2:]] = ([] if explicit == "--" else
+                                      int(explicit) if name == "--seed" else explicit)
+                except ValueError:
+                    _stop(command, f"argument --seed: invalid int value: {explicit!r}")
         else:
-            lines[-1] += " " + part
-    return "\n".join(lines)[len("usage: "):]
-
-
-def _formatter(prog: str) -> argparse.HelpFormatter:
-    return argparse.HelpFormatter(prog, width=_WIDTH)
-
-
-class _Parser(argparse.ArgumentParser):
-    def _check_value(self, action, value):
-        # 3.11's message; newer patch releases, 3.13.13 among them, drop the quotes
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            message = f"invalid choice: {value!r} (choose from {choices})"
-            raise argparse.ArgumentError(action, message)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built by the first run() and reused after it.
-
-    Usage and help bytes are fixed: explicit usage texts and a fixed width,
-    so neither the interpreter nor COLUMNS changes them."""
-    parser = _Parser(
-        prog="conicbundle", formatter_class=_formatter,
-        usage=_usage("conicbundle", "[-h]", "{" + ",".join(SUBCOMMANDS) + "}", "..."),
-        description="Exact decision procedures for real conic-bundle models.")
-    # an explicit prog: argparse would derive the subcommands' from the usage
-    sub = parser.add_subparsers(dest="command", required=True, prog="conicbundle")
-    for name in SUBCOMMANDS:
-        source = "[--seed SEED]" if name == "selftest" else "[--input INPUT]"
-        p = sub.add_parser(name, formatter_class=_formatter,
-                           usage=_usage(f"conicbundle {name}", "[-h]", source, "[--output OUTPUT]"))
-        if name == "selftest":
-            p.add_argument("--seed", type=int, default=0)
-        else:
-            p.add_argument("--input", default=None, help="JSON request file (default: stdin)")
-        p.add_argument("--output", default=None, help="output file (default: stdout)")
-    return parser
-
-
-_parser = None
+            if command is None or extras:
+                _stop(None, "the following arguments are required: command" if command is None
+                      else f"unrecognized arguments: {' '.join(extras)}")
+            return dict(into, command=command)
 
 
 def run(argv) -> int:
-    """Dispatch a parsed command line; returns the process exit code."""
-    global _parser
-    if _parser is None:
-        _parser = _build_parser()
+    """Dispatch a command line; returns the process exit code."""
     try:
-        args = _parser.parse_args(argv)
+        args = _read_argv(argv)
     except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        return exc.code
 
     raw = None
-    if args.command != "selftest":
+    if args["command"] != "selftest":
         try:
-            if args.input:
-                with open(args.input, "r", encoding="utf-8") as fh:
+            if args["input"]:
+                with open(args["input"], "r", encoding="utf-8") as fh:
                     raw = fh.read()
             else:
                 raw = sys.stdin.read()
@@ -480,7 +495,7 @@ def run(argv) -> int:
 
     try:
         if raw is None:
-            obj = _selftest(args.seed)
+            obj = _selftest(args["seed"])
             code = 0 if obj["passed"] else 1
         else:
             try:
@@ -488,7 +503,7 @@ def run(argv) -> int:
             except RecursionError:  # no line or column is known
                 sys.stderr.write(_dump({"error": "malformed-json", "message": "nested too deeply"}))
                 return 2
-            code, obj = _HANDLERS[args.command](request)
+            code, obj = _HANDLERS[args["command"]](request)
     except json.JSONDecodeError as exc:
         sys.stderr.write(_dump({"error": "malformed-json", "line": exc.lineno,
                                 "column": exc.colno, "message": exc.msg}))
@@ -505,8 +520,8 @@ def run(argv) -> int:
         return 2
 
     try:
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
+        if args["output"]:
+            with open(args["output"], "w", encoding="utf-8") as fh:
                 fh.write(_dump(obj))
         else:
             sys.stdout.write(_dump(obj))

@@ -25,6 +25,7 @@ from .errors import (
     Unsupported,
     Value,
     WitnessSearchFailed,
+    as_int,
     quote,
 )
 from .projline import (
@@ -116,7 +117,7 @@ class BiPoint(Value):
     __slots__ = ("xyz", "t")
 
     def __init__(self, xyz: tuple, t: ProjPoint):
-        x, y, z = (int(v) for v in xyz)
+        x, y, z = map(as_int, xyz)
         if x == 0 and y == 0 and z == 0:
             raise InvalidModel("(0 : 0 : 0) is not a point of the plane")
         super().__init__(primitive(x, y, z), t)

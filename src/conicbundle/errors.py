@@ -47,6 +47,14 @@ def quote(value, text: str = None) -> str:
     return f"{text[:16]}...{text[-16:]} ({size} characters)"
 
 
+def as_int(value) -> int:
+    """value itself if it is an int; anything else (a float, a Fraction, a
+    string, a bool) is InvalidModel, never truncated."""
+    if type(value) is not int:
+        raise InvalidModel(f"not an int: {quote(value)}")
+    return value
+
+
 class ConicBundleError(Exception):
     """Base class for every error raised by this library."""
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, List, NamedTuple
 
-from .errors import BasisMismatch, NotAFiberClass, Unsupported, Value
+from .errors import BasisMismatch, NotAFiberClass, Unsupported, Value, as_int
 
 
 class PicVector(Value):
@@ -23,7 +23,7 @@ class PicVector(Value):
     __slots__ = ("coords",)
 
     def __init__(self, coords: tuple):
-        coords = tuple(int(v) for v in coords)
+        coords = tuple(map(as_int, coords))
         if len(coords) < 2:
             raise ValueError("a lattice vector needs e0 and at least one ei")
         super().__init__(coords)

@@ -68,7 +68,10 @@ USAGE = f"""usage: conicbundle [-h]
 """
 TWIST_USAGE = "usage: conicbundle twist [-h] [--input INPUT] [--output OUTPUT]\n"
 SELFTEST_USAGE = "usage: conicbundle selftest [-h] [--seed SEED] [--output OUTPUT]\n"
+LATTICE_USAGE = "usage: conicbundle lattice [-h] [--input INPUT] [--output OUTPUT]\n"
 QUOTED = ", ".join(f"'{name}'" for name in CHOICES[1:-1].split(","))
+INVALID_DASHES = ("conicbundle: error: argument command: invalid choice: '--' "
+                  f"(choose from {QUOTED})\n")
 
 # (id, argv, exit code, stdout, stderr)
 USAGE_CASES = [
@@ -106,6 +109,20 @@ options:
      USAGE + "conicbundle: error: unrecognized arguments: extra\n"),
     ("input-without-file", ["twist", "--input"], 2, "",
      TWIST_USAGE + "conicbundle twist: error: argument --input: expected one argument\n"),
+    # 3.13's argparse prints the help for these two and 3.11's refuses them
+    ("attached-to-help", ["lattice", "-hx"], 2, "",
+     LATTICE_USAGE + "conicbundle lattice: error: argument -h/--help: ignored explicit "
+                     "argument 'x'\n"),
+    ("attached-to-top-help", ["-hx"], 2, "",
+     USAGE + "conicbundle: error: argument -h/--help: ignored explicit argument 'x'\n"),
+    # 3.11 takes "--" for the command; 3.13.13 drops it and reads the next argument
+    ("leading-dashes", ["--", "lattice"], 2, "", USAGE + INVALID_DASHES),
+    ("dashes-after-unknown", ["-x", "--", "lattice"], 2, "", USAGE + INVALID_DASHES),
+    # the one subcommand whose usage wraps
+    ("wrapped-usage", ["decide-verytransitive", "--input"], 2, "",
+     "usage: conicbundle decide-verytransitive [-h] [--input INPUT]\n" + " " * 41
+     + "[--output OUTPUT]\nconicbundle decide-verytransitive: error: argument --input: "
+       "expected one argument\n"),
 ]
 
 

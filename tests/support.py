@@ -19,8 +19,13 @@ branch on which coordinate of that root is zero; it and the image reference
 evaluate the biconic forms in Fractions, form by form, and the image
 reference finds each form's roots in Fractions, where the library reads both
 off cleared integer coefficients.
+
+The reference parser is the argparse parser the CLI built before it read its
+command line by hand; on 3.11 it is the oracle of that reader.
 """
 
+import argparse
+import functools
 import heapq
 import os
 import shutil
@@ -46,6 +51,7 @@ from conicbundle import (
     parse_rat,
     validate_path,
 )
+from conicbundle.cli import SUBCOMMANDS
 from conicbundle.delpezzo import BiPoint
 from conicbundle.errors import (
     DuplicateNode,
@@ -120,6 +126,67 @@ def other_interpreters():
                 seen.add(real)
                 found[python] = version
     return found
+
+
+# ---------------------------------------------------------------------------
+# Command-line oracle: the CLI's former argparse parser.
+
+_WIDTH = 78  # argparse's help width: the terminal's 80 columns less 2
+
+
+def _usage(prog: str, *parts: str) -> str:
+    """argparse 3.11's usage text at _WIDTH, which every version prints
+    verbatim: parts packed greedily after "usage: prog", a wrapped part
+    aligned under the first."""
+    indent = " " * len(f"usage: {prog} ")
+    lines = [f"usage: {prog}"]
+    for part in parts:
+        if len(lines[-1]) + 1 + len(part) > _WIDTH:
+            lines.append(indent + part)
+        else:
+            lines[-1] += " " + part
+    return "\n".join(lines)[len("usage: "):]
+
+
+def _formatter(prog: str) -> argparse.HelpFormatter:
+    return argparse.HelpFormatter(prog, width=_WIDTH)
+
+
+class _Parser(argparse.ArgumentParser):
+    def _check_value(self, action, value):
+        # 3.11's message; newer patch releases, 3.13.13 among them, drop the quotes
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {value!r} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
+
+
+@functools.cache
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser as it was: explicit usage texts at a fixed
+    width, so that neither COLUMNS nor the interpreter changes a usage byte."""
+    parser = _Parser(
+        prog="conicbundle", formatter_class=_formatter,
+        usage=_usage("conicbundle", "[-h]", "{" + ",".join(SUBCOMMANDS) + "}", "..."),
+        description="Exact decision procedures for real conic-bundle models.")
+    # an explicit prog: argparse would derive the subcommands' from the usage
+    sub = parser.add_subparsers(dest="command", required=True, prog="conicbundle")
+    for name in SUBCOMMANDS:
+        source = "[--seed SEED]" if name == "selftest" else "[--input INPUT]"
+        p = sub.add_parser(name, formatter_class=_formatter,
+                           usage=_usage(f"conicbundle {name}", "[-h]", source, "[--output OUTPUT]"))
+        if name == "selftest":
+            p.add_argument("--seed", type=int, default=0)
+        else:
+            p.add_argument("--input", default=None, help="JSON request file (default: stdin)")
+        p.add_argument("--output", default=None, help="output file (default: stdout)")
+    return parser
+
+
+def reference_read_argv(argv) -> dict:
+    """cli._read_argv by the reference parser: the values the parsed command
+    line names, or SystemExit after help or a usage error."""
+    return vars(reference_parser().parse_args(argv))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, schemas, determinism, witnesses."""
 
 import io
+import itertools
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +28,7 @@ from conicbundle.projline import ProjPoint
 from conicbundle.projline import interval_image as arc_image
 
 import support
-from golden_replay import COLUMNS, USAGE_CASES, load
+from golden_replay import COLUMNS, USAGE_CASES, load, run_captured
 
 
 def invoke(capsys, command, payload, extra=()):
@@ -542,6 +545,22 @@ def test_unwritable_output_is_data_error_without_traceback(tmp_path, argv, targe
     assert proc.stderr.startswith("cannot write output:")
 
 
+@pytest.mark.parametrize("argv, redirect, code, shown", [
+    (["-h"], ">&-", 0, "show this help message and exit"),
+    (["lattice", "-hx"], "2>&-", 2, ""),
+    (["lattice", "-h"], ">&- 2>&-", 0, ""),
+], ids=["help-without-stdout", "error-without-stderr", "help-without-either"])
+def test_help_and_usage_errors_outlive_a_closed_stream(argv, redirect, code, shown):
+    # as argparse did: the help goes to stderr when stdout is closed, and a
+    # stream that cannot be written to is skipped, keeping the exit code
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(["sh", "-c", f'"$0" -m conicbundle.cli "$@" {redirect}',
+                           sys.executable, *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert shown in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_undecodable_input_is_data_error_without_traceback(tmp_path):
     request = tmp_path / "request.json"
     request.write_bytes(b'{"m": 5, "note": "\xff"}')
@@ -558,11 +577,51 @@ def test_unknown_command_is_usage_error(capsys):
 @pytest.mark.parametrize("argv, code, out, err", [case[1:] for case in USAGE_CASES],
                          ids=[case[0] for case in USAGE_CASES])
 def test_usage_bytes(capsys, monkeypatch, argv, code, out, err):
-    # argparse reads the terminal width from COLUMNS; the bytes must not change with it
+    # the texts are fixed: COLUMNS, the terminal width argparse reads, changes no byte
     for columns in COLUMNS:
         monkeypatch.setenv("COLUMNS", columns)
         assert run(argv) == code
         assert capsys.readouterr() == (out, err)
+
+
+CENSUS_TOKENS = (*cli.SUBCOMMANDS, "-h", "--help", "--he", "--input", "--inp", "--input=x",
+                 "--output", "--seed", "--se", "1", "x", "--", "-hx", "-x", "frobnicate")
+# the spellings that the census tokens leave out: "=" after each option, a
+# "--" as an option's argument, short options run together, an ambiguous
+# prefix, negative numbers, spaces, an empty and a lone "-"
+EDGE_TOKENS = ("lattice", "selftest", "--=x", "-h=", "-h=x", "-h=h", "-hh", "-hhx", "-hxy",
+               "--help=", "--he=hh", "--inp=", "--input=--", "--output=--", "--seed=--",
+               "--seed=", "--seed=1_0", "--s=3", "--o", "-1", "-1.5", "-.5", "-1=2", "- x",
+               "-h x", "--inp x", "", "-", "---", "x'y", "--", "x")
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the oracle is argparse 3.11's reading of the command line; "
+                           "other versions read some command lines differently")
+@pytest.mark.parametrize("tokens, longest", [(CENSUS_TOKENS, 3), (EDGE_TOKENS, 2)],
+                         ids=["census", "edge-spellings"])
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_every_short_command_line_gives_the_reference_parser_bytes(
+        tmp_path, monkeypatch, tokens, longest, columns):
+    # Every command line of up to `longest` tokens, read once by the reader and
+    # once by support.reference_parser, the parser the CLI built before it:
+    # exit code, stdout and stderr must agree.  Each side works in its own
+    # directory, since "--output x" writes x.  selftest echoes its seed, so
+    # the census stays fast and still shows the seed that each side read.
+    monkeypatch.setenv("COLUMNS", columns)
+    monkeypatch.setattr(cli, "_selftest", lambda seed: {"seed": seed, "passed": True})
+    argvs = [list(argv) for n in range(longest + 1) for argv in itertools.product(tokens, repeat=n)]
+
+    def outcomes(read_argv, name):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        monkeypatch.setattr(cli, "_read_argv", read_argv)
+        return [run_captured(argv, "", cli.run) for argv in argvs]
+
+    expected = outcomes(support.reference_read_argv, "reference")
+    got = outcomes(cli._read_argv, "reader")
+    differ = [(argv, e, g) for argv, e, g in zip(argvs, expected, got) if e != g]
+    assert not differ, differ[:5]
 
 
 @pytest.mark.parametrize("command, payload, field", [

@@ -1,12 +1,14 @@
 """What each way of loading the CLI imports.
 
 A CLI process (`python -m conicbundle.cli`, run here through runpy as
-__main__) loads only the library modules of its subcommand; importing
-conicbundle.cli binds every layer; importing the package loads none.  No
-fresh process loads `dataclasses` or `inspect`, which the value classes do
-without.  A caller that purges `conicbundle*` from sys.modules and
-re-imports, as the benchmark's set-up does, keeps a working first copy of
-the CLI.
+__main__) loads only the library modules of its subcommand, so a `lattice`
+request loads neither `projline` nor `fractions`, and help or a usage error
+loads none; importing conicbundle.cli binds every layer; importing the
+package loads none.  No fresh process loads `dataclasses` or `inspect`,
+which the value classes do without, or `argparse`, `gettext` or `locale`,
+since the CLI reads its command line by hand.  A caller that purges
+`conicbundle*` from sys.modules and re-imports, as the benchmark's set-up
+does, keeps a working first copy of the CLI.
 """
 
 import importlib
@@ -14,36 +16,42 @@ import json
 import sys
 import types
 
+import pytest
+
 import conicbundle
 import support
 from golden_replay import WORKLOADS, load, replay
 
-ALWAYS = {"conicbundle", "conicbundle.errors", "conicbundle.projline"}
+ALWAYS = {"conicbundle", "conicbundle.errors"}
+P1 = {"conicbundle.projline", "fractions"}  # the P^1 layer and the rationals it builds
 LAYERS = {f"conicbundle.{m}" for m in ("conic_model", "delpezzo", "lattice", "planner",
                                        "polynomial", "twist")}
 TWIST = {"conicbundle.conic_model", "conicbundle.polynomial", "conicbundle.twist"}
-# the conicbundle modules a fresh CLI process has loaded after one request
+# the conicbundle modules, and fractions, that a fresh CLI process has loaded
+# after one request
 LOADED = {
-    "realizable-perms": ALWAYS,
-    "stabilizer": ALWAYS,
-    "decide-birational": ALWAYS | {"conicbundle.conic_model"},
-    "decide-iso": ALWAYS | {"conicbundle.conic_model"},
-    "decide-verytransitive": ALWAYS | {"conicbundle.conic_model"},
-    "geiser": ALWAYS | {"conicbundle.delpezzo"},
-    "biconic-image": ALWAYS | {"conicbundle.delpezzo"},
+    "realizable-perms": ALWAYS | P1,
+    "stabilizer": ALWAYS | P1,
+    "decide-birational": ALWAYS | P1 | {"conicbundle.conic_model"},
+    "decide-iso": ALWAYS | P1 | {"conicbundle.conic_model"},
+    "decide-verytransitive": ALWAYS | P1 | {"conicbundle.conic_model"},
+    "geiser": ALWAYS | P1 | {"conicbundle.delpezzo"},
+    "biconic-image": ALWAYS | P1 | {"conicbundle.delpezzo"},
     "lattice": ALWAYS | {"conicbundle.lattice"},
-    "region-path": ALWAYS | {"conicbundle.planner"},
-    "twist": ALWAYS | TWIST,
-    "verify-twist": ALWAYS | TWIST,
-    "selftest": ALWAYS | LAYERS,
+    "region-path": ALWAYS | P1 | {"conicbundle.planner"},
+    "twist": ALWAYS | P1 | TWIST,
+    "verify-twist": ALWAYS | P1 | TWIST,
+    "selftest": ALWAYS | P1 | LAYERS,
 }
 
 # standard modules that building a dataclass loads, and no process needs
 MACHINERY = {"dataclasses", "inspect"}
+# standard modules that argparse loads, and no process needs
+PARSING = {"argparse", "gettext", "locale"}
 
 # Runs the statement `run` in a fresh interpreter, then writes the names of
-# the loaded conicbundle and MACHINERY modules to stderr, which a golden
-# request leaves empty.
+# the loaded conicbundle, fractions, MACHINERY and PARSING modules to
+# stderr as its last line: a golden request writes nothing else there.
 FRESH = """
 import json, sys
 try:
@@ -55,12 +63,12 @@ finally:
 
 
 def fresh(run, argv=(), stdin=None):
-    """(exit code, stdout, loaded conicbundle modules) of a fresh interpreter,
-    which must not have loaded a MACHINERY module."""
-    proc = support.run_python("-c", FRESH.format(run=run, watched=("conicbundle", *MACHINERY)),
-                              *argv, stdin=stdin)
-    loaded = set(json.loads(proc.stderr))
-    assert not loaded & MACHINERY, sorted(loaded & MACHINERY)
+    """(exit code, stdout, loaded conicbundle modules and fractions) of a fresh
+    interpreter, which must not have loaded a MACHINERY or PARSING module."""
+    watched = ("conicbundle", "fractions", *MACHINERY, *PARSING)
+    proc = support.run_python("-c", FRESH.format(run=run, watched=watched), *argv, stdin=stdin)
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))  # after any usage error
+    assert not loaded & (MACHINERY | PARSING), sorted(loaded & (MACHINERY | PARSING))
     return proc.returncode, proc.stdout, loaded
 
 
@@ -84,8 +92,19 @@ def test_a_cli_process_loads_only_its_subcommand_layers():
         assert loaded == LOADED[name], name
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["-h"], 0), (["lattice", "--help"], 0), ([], 2), (["frobnicate"], 2),
+    (["lattice", "-hx"], 2), (["selftest", "--seed", "x"], 2), (["twist", "--bogus"], 2),
+], ids=["help", "command-help", "no-argv", "unknown", "attached", "bad-seed", "bogus-option"])
+def test_help_and_usage_errors_load_no_layer(argv, code):
+    got, out, loaded = fresh(
+        'import runpy; runpy.run_module("conicbundle.cli", run_name="__main__")', argv)
+    assert got == code and bool(out) == (code == 0)
+    assert loaded == ALWAYS
+
+
 def test_importing_the_cli_binds_every_layer():
-    assert fresh("import conicbundle.cli")[2] == ALWAYS | LAYERS | {"conicbundle.cli"}
+    assert fresh("import conicbundle.cli")[2] == ALWAYS | P1 | LAYERS | {"conicbundle.cli"}
     cli = importlib.import_module("conicbundle.cli")
     for alias in ("cm", "dp", "lat", "pl", "poly", "pj", "tw", "random"):
         assert isinstance(getattr(cli, alias), types.ModuleType), alias

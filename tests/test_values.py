@@ -7,7 +7,8 @@ fields (so no set or dict order depends on the class), printed as
 assignment and deletion.  `selftest` prints `BiPoint`s and
 `IntervalConfig`s in its failure messages, so those reprs are output.  A
 rational field takes an int or a Fraction and nothing else, and so does a
-function that reads only a rational's integer ratio.
+function that reads only a rational's integer ratio.  An integer
+coordinate takes an int only.
 """
 
 import re
@@ -142,6 +143,19 @@ def test_rationals_are_ints_or_fractions_only(build):
     for bad in (1.0, "1", True):
         with pytest.raises(InvalidModel, match=re.escape(quote(bad))):
             build(bad)
+
+
+@pytest.mark.parametrize("build, bad", [
+    (lambda v: BiPoint((v, 0, 1), ProjPoint(1, 2)), 3.9),
+    (lambda v: PicVector((v, 2)), 1.5),
+], ids=["BiPoint", "PicVector"])
+def test_integer_coordinates_are_ints_only(build, bad):
+    # int() would truncate the float; a Fraction, a string or a bool is
+    # refused as well, and the message names it
+    assert build(3) == build(3)
+    for value in (bad, Fraction(3), "3", True):
+        with pytest.raises(InvalidModel, match=re.escape(quote(value))):
+            build(value)
 
 
 def test_the_cases_cover_one_value_of_each_class():
