@@ -611,6 +611,7 @@ def test_every_short_command_line_gives_the_reference_parser_bytes(
     monkeypatch.setenv("COLUMNS", columns)
     monkeypatch.setattr(cli, "_selftest", lambda seed: {"seed": seed, "passed": True})
     argvs = [list(argv) for n in range(longest + 1) for argv in itertools.product(tokens, repeat=n)]
+    reader = cli._read_argv
 
     def outcomes(read_argv, name):
         (tmp_path / name).mkdir()
@@ -619,7 +620,7 @@ def test_every_short_command_line_gives_the_reference_parser_bytes(
         return [run_captured(argv, "", cli.run) for argv in argvs]
 
     expected = outcomes(support.reference_read_argv, "reference")
-    got = outcomes(cli._read_argv, "reader")
+    got = outcomes(reader, "reader")
     differ = [(argv, e, g) for argv, e, g in zip(argvs, expected, got) if e != g]
     assert not differ, differ[:5]
 
