@@ -206,8 +206,9 @@ def _cmd_decide_iso(payload):
 
 def _cmd_decide_verytransitive(payload):
     verdict = cm.decide_very_transitive(_field(payload, "", "model", _marked))
-    return (0 if verdict.very_transitive else 1), {**verdict.as_json(),
-                                                   "answer": verdict.very_transitive}
+    obj = verdict.as_json()
+    obj["answer"] = verdict.very_transitive
+    return (0 if verdict.very_transitive else 1), obj
 
 
 def _cmd_realizable_perms(payload):
@@ -369,8 +370,11 @@ def _selftest(seed: int) -> dict:
             x0, y0 = rng.randint(0, 6), rng.randint(0, 6)
             rects.append(pl.Rect(x0, x0 + rng.randint(1, 3), y0, y0 + rng.randint(1, 3)))
         region = pl.Region(tuple(rects))
-        mid = [((r.x0 + r.x1) / 2, (r.y0 + r.y1) / 2) for r in (rects[0], rects[-1])]
-        pl.find_rect_path(region, *mid)
+        a = rects[0]
+        b = rects[-1]
+        start = ((a.x0 + a.x1) / 2, (a.y0 + a.y1) / 2)
+        end = ((b.x0 + b.x1) / 2, (b.y0 + b.y1) / 2)
+        pl.find_rect_path(region, start, end)
         suites["planner"].append([])
 
     report = [{"name": name, "cases": len(cases), "failures": [f for case in cases for f in case]}
@@ -409,10 +413,12 @@ def _stop(command, error=None):
         flag, about = (("--seed SEED", "") if command == "selftest"
                        else ("--input INPUT", "    JSON request file (default: stdin)"))
         usage = f"usage: {prog} [-h] [{flag}]"
-        usage += ("\n" + " " * (len(prog) + 8) if len(usage) > 60 else " ") + "[--output OUTPUT]"
+        # only decide-verytransitive's usage wraps, under its first option
+        indent = "\n" + " " * len(f"usage: {prog} ") if len(usage) > 60 else " "
+        usage += indent + "[--output OUTPUT]"
         text = (f"options:\n  -h, --help       show this help message and exit\n  {flag}{about}\n"
                 "  --output OUTPUT  output file (default: stdout)\n")
-    out = sys.stdout or sys.stderr if error is None else sys.stderr  # as argparse falls back
+    out = (sys.stdout or sys.stderr) if error is None else sys.stderr  # as argparse falls back
     with suppress(AttributeError, OSError):  # and skips a stream it cannot write to
         out.write(f"{usage}\n\n{text}" if error is None else f"{usage}\n{prog}: error: {error}\n")
     raise SystemExit(0 if error is None else 2)
@@ -426,20 +432,30 @@ def _option(arg: str, names: tuple, command):
     head, tail = arg.split("=", 1) if "=" in arg else (arg, None)
     if arg in names or tail is not None and head in names:
         return head, tail
-    found = ([(name, tail) for name in names if name.startswith(head)] if arg[1] == "-"
-             else [(arg[:2], arg[2:])] * (arg[:2] in names))  # -h takes the rest attached
-    if len(found) > 1:
-        _stop(command, f"ambiguous option: {arg} could match {', '.join(dict(found))}")
-    return found[0] if found else None if " " in arg else ("", None)
+    if arg[1] == "-":  # a long option by a unique prefix
+        found = [name for name in names if name.startswith(head)]
+        if len(found) > 1:
+            _stop(command, f"ambiguous option: {arg} could match {', '.join(found)}")
+        if found:
+            return found[0], tail
+    elif arg[:2] in names:  # -h with the rest attached
+        return arg[:2], arg[2:]
+    if " " in arg:
+        return None
+    return "", None
 
 
 def _read_argv(argv) -> dict:
     """The command, input, seed and output of a command line, which every interpreter
     reads as argparse 3.11 read it with the parser this CLI once built."""
-    into, extras, args, command = {"input": None, "seed": 0, "output": None}, [], list(argv), None
+    into = {"input": None, "seed": 0, "output": None}
+    extras = []
+    args = list(argv)
+    command = None
     while True:  # the top-level parser reads up to the command, the command's the rest
-        names = ("-h", "--help") + (() if command is None else (
-            "--seed" if command == "selftest" else "--input", "--output"))
+        names = ("-h", "--help")
+        if command is not None:
+            names += ("--seed" if command == "selftest" else "--input", "--output")
         end = args.index("--") if "--" in args else len(args)
         found = [_option(arg, names, command) for arg in args[:end]] + [None] * (len(args) - end)
         steps = iter(range(len(args)))
@@ -453,24 +469,30 @@ def _read_argv(argv) -> dict:
                 break
             if not name:
                 extras.append(args[i])
-            elif name in ("-h", "--help"):  # -hh reads as -h -h
-                rest = explicit.lstrip("h") if explicit and name == "-h" else explicit
-                _stop(command, None if explicit is None or explicit and not rest
-                      else f"argument -h/--help: ignored explicit argument {rest!r}")
+            elif name in ("-h", "--help"):
+                if explicit is None or name == "-h" and explicit and not explicit.lstrip("h"):
+                    _stop(command)  # -hh reads as -h -h
+                rest = explicit.lstrip("h") if name == "-h" else explicit
+                _stop(command, f"argument -h/--help: ignored explicit argument {rest!r}")
             else:
                 if explicit is None:
                     if i + 1 >= end or found[i + 1]:
                         _stop(command, f"argument {name}: expected one argument")
                     explicit = args[next(steps)]  # the next argument, skipped
-                try:  # argparse drops a "--" from an option's arguments
-                    into[name[2:]] = ([] if explicit == "--" else
-                                      int(explicit) if name == "--seed" else explicit)
-                except ValueError:
-                    _stop(command, f"argument --seed: invalid int value: {explicit!r}")
+                if explicit == "--":  # argparse drops a "--" from an option's arguments
+                    into[name[2:]] = []
+                elif name == "--seed":
+                    try:
+                        into["seed"] = int(explicit)
+                    except ValueError:
+                        _stop(command, f"argument --seed: invalid int value: {explicit!r}")
+                else:
+                    into[name[2:]] = explicit
         else:
-            if command is None or extras:
-                _stop(None, "the following arguments are required: command" if command is None
-                      else f"unrecognized arguments: {' '.join(extras)}")
+            if command is None:
+                _stop(None, "the following arguments are required: command")
+            if extras:
+                _stop(None, f"unrecognized arguments: {' '.join(extras)}")
             return dict(into, command=command)
 
 

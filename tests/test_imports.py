@@ -20,7 +20,7 @@ import pytest
 
 import conicbundle
 import support
-from golden_replay import WORKLOADS, load, replay
+from golden_replay import USAGE_CASES, WORKLOADS, load, replay
 
 ALWAYS = {"conicbundle", "conicbundle.errors"}
 P1 = {"conicbundle.projline", "fractions"}  # the P^1 layer and the rationals it builds
@@ -51,7 +51,7 @@ PARSING = {"argparse", "gettext", "locale"}
 
 # Runs the statement `run` in a fresh interpreter, then writes the names of
 # the loaded conicbundle, fractions, MACHINERY and PARSING modules to
-# stderr as its last line: a golden request writes nothing else there.
+# stderr as its last line, after whatever the statement wrote there.
 FRESH = """
 import json, sys
 try:
@@ -63,13 +63,15 @@ finally:
 
 
 def fresh(run, argv=(), stdin=None):
-    """(exit code, stdout, loaded conicbundle modules and fractions) of a fresh
-    interpreter, which must not have loaded a MACHINERY or PARSING module."""
+    """(exit code, stdout, stderr, loaded conicbundle modules and fractions) of a
+    fresh interpreter, which must not have loaded a MACHINERY or PARSING module;
+    stderr is what the statement wrote there, without the module report."""
     watched = ("conicbundle", "fractions", *MACHINERY, *PARSING)
     proc = support.run_python("-c", FRESH.format(run=run, watched=watched), *argv, stdin=stdin)
-    loaded = set(json.loads(proc.stderr.splitlines()[-1]))  # after any usage error
+    head, newline, report = proc.stderr.rpartition("\n")
+    loaded = set(json.loads(report))
     assert not loaded & (MACHINERY | PARSING), sorted(loaded & (MACHINERY | PARSING))
-    return proc.returncode, proc.stdout, loaded
+    return proc.returncode, proc.stdout, head + newline, loaded
 
 
 def one_request_per_subcommand():
@@ -84,34 +86,30 @@ def one_request_per_subcommand():
 
 def test_a_cli_process_loads_only_its_subcommand_layers():
     for entry in one_request_per_subcommand():
-        code, out, loaded = fresh(
+        code, out, err, loaded = fresh(
             'import runpy; runpy.run_module("conicbundle.cli", run_name="__main__")',
             entry["argv"], entry["stdin"])
         name = entry["argv"][0]
-        assert (code, out) == (entry["exit"], entry["stdout"]), name
+        assert (code, out, err) == (entry["exit"], entry["stdout"], ""), name
         assert loaded == LOADED[name], name
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["-h"], 0), (["lattice", "--help"], 0), ([], 2), (["frobnicate"], 2),
-    (["lattice", "-hx"], 2), (["selftest", "--seed", "x"], 2), (["twist", "--bogus"], 2),
-], ids=["help", "command-help", "no-argv", "unknown", "attached", "bad-seed", "bogus-option"])
-def test_help_and_usage_errors_load_no_layer(argv, code):
-    got, out, loaded = fresh(
-        'import runpy; runpy.run_module("conicbundle.cli", run_name="__main__")', argv)
-    assert got == code and bool(out) == (code == 0)
-    assert loaded == ALWAYS
+@pytest.mark.parametrize("argv, code, out, err", [case[1:] for case in USAGE_CASES],
+                         ids=[case[0] for case in USAGE_CASES])
+def test_help_and_usage_errors_load_no_layer(argv, code, out, err):
+    got = fresh('import runpy; runpy.run_module("conicbundle.cli", run_name="__main__")', argv)
+    assert got == (code, out, err, ALWAYS)
 
 
 def test_importing_the_cli_binds_every_layer():
-    assert fresh("import conicbundle.cli")[2] == ALWAYS | P1 | LAYERS | {"conicbundle.cli"}
+    assert fresh("import conicbundle.cli")[2:] == ("", ALWAYS | P1 | LAYERS | {"conicbundle.cli"})
     cli = importlib.import_module("conicbundle.cli")
     for alias in ("cm", "dp", "lat", "pl", "poly", "pj", "tw", "random"):
         assert isinstance(getattr(cli, alias), types.ModuleType), alias
 
 
 def test_importing_the_package_loads_no_module():
-    assert fresh("import conicbundle")[2] == {"conicbundle"}
+    assert fresh("import conicbundle")[2:] == ("", {"conicbundle"})
 
 
 def test_the_package_exports_stay_importable():

@@ -46,8 +46,8 @@ def test_the_console_script_loads_only_its_subcommand_layers():
     module, function = target.split(":")
     entry = next(e for e in load("decide") if e["argv"][0] == "lattice")
     # what the generated script does, with the command's name as argv[0]
-    code, out, loaded = fresh(
+    code, out, err, loaded = fresh(
         f"sys.argv[0] = 'conicbundle'; from {module} import {function}; sys.exit({function}())",
         entry["argv"], entry["stdin"])
-    assert (code, out) == (entry["exit"], entry["stdout"])
+    assert (code, out, err) == (entry["exit"], entry["stdout"], "")
     assert loaded == ALWAYS | {"conicbundle.lattice", module}
