@@ -479,9 +479,9 @@ def _read_argv(argv) -> dict:
                     if i + 1 >= end or found[i + 1]:
                         _stop(command, f"argument {name}: expected one argument")
                     explicit = args[next(steps)]  # the next argument, skipped
-                if explicit == "--":  # argparse drops a "--" from an option's arguments
-                    into[name[2:]] = []
-                elif name == "--seed":
+                if explicit in ("", "--"):  # an empty value, or argparse's dropped "--"
+                    _stop(command, f"argument {name}: expected one argument")
+                if name == "--seed":
                     try:
                         into["seed"] = int(explicit)
                     except ValueError:
@@ -509,11 +509,12 @@ def run(argv) -> int:
             if args["input"]:
                 with open(args["input"], "r", encoding="utf-8") as fh:
                     raw = fh.read()
+            elif sys.stdin is None:
+                raise OSError("standard input is closed")
             else:
                 raw = sys.stdin.read()
         except (OSError, UnicodeDecodeError) as exc:
-            sys.stderr.write(f"cannot read input: {exc}\n")
-            return 2
+            return _report(f"cannot read input: {exc}\n")
 
     try:
         if raw is None:
@@ -523,34 +524,37 @@ def run(argv) -> int:
             try:
                 request = json.loads(raw, parse_int=_LongInt.parse, object_pairs_hook=_object)
             except RecursionError:  # no line or column is known
-                sys.stderr.write(_dump({"error": "malformed-json", "message": "nested too deeply"}))
-                return 2
+                return _report(_dump({"error": "malformed-json", "message": "nested too deeply"}))
             code, obj = _HANDLERS[args["command"]](request)
     except json.JSONDecodeError as exc:
-        sys.stderr.write(_dump({"error": "malformed-json", "line": exc.lineno,
-                                "column": exc.colno, "message": exc.msg}))
-        return 2
+        return _report(_dump({"error": "malformed-json", "line": exc.lineno,
+                              "column": exc.colno, "message": exc.msg}))
     except SchemaError as exc:
-        sys.stderr.write(_dump({"error": "schema", "field": exc.field, "message": str(exc)}))
-        return 2
+        return _report(_dump({"error": "schema", "field": exc.field, "message": str(exc)}))
     except ConicBundleError as exc:
-        sys.stderr.write(_dump({"error": type(exc).__name__, "message": str(exc)}))
-        return 2
+        return _report(_dump({"error": type(exc).__name__, "message": str(exc)}))
     except Exception as exc:
         # a defect, not a verdict: exit 2 and no traceback
-        sys.stderr.write(_dump({"error": "internal", "message": f"{type(exc).__name__}: {exc}"}))
-        return 2
+        return _report(_dump({"error": "internal", "message": f"{type(exc).__name__}: {exc}"}))
 
     try:
         if args["output"]:
             with open(args["output"], "w", encoding="utf-8") as fh:
                 fh.write(_dump(obj))
+        elif sys.stdout is None:
+            raise OSError("standard output is closed")
         else:
             sys.stdout.write(_dump(obj))
     except OSError as exc:
-        sys.stderr.write(f"cannot write output: {exc}\n")
-        return 2
+        return _report(f"cannot write output: {exc}\n")
     return code
+
+
+def _report(text: str) -> int:
+    """Write a data error to stderr, unless it is closed or fails, and give exit code 2."""
+    with suppress(AttributeError, OSError):
+        sys.stderr.write(text)
+    return 2
 
 
 def main():

@@ -342,43 +342,23 @@ class Moebius(Value):
     def identity() -> "Moebius":
         return Moebius(1, 0, 0, 1)
 
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    @property
-    def orientation(self) -> int:
-        return 1 if self.det > 0 else -1
-
     def apply(self, p: ProjPoint) -> ProjPoint:
         return ProjPoint(self.a * p.u0 + self.b * p.u1, self.c * p.u0 + self.d * p.u1)
 
     def apply_rat(self, value: Rat) -> ProjPoint:
         return self.apply(ProjPoint.from_rat(value))
 
-    def compose(self, other: "Moebius") -> "Moebius":
-        """Matrix product: (self . other)(p) = self(other(p))."""
-        return Moebius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "Moebius":
-        return Moebius(self.d, -self.b, -self.c, self.a)
-
     def as_json(self) -> dict:
         return {"a": format_rat(self.a), "b": format_rat(self.b),
                 "c": format_rat(self.c), "d": format_rat(self.d)}
 
 
-def _through_standard(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Moebius:
-    # The matrix sending (1:0), (0:1), (1:1) to p1, p2, p3: columns lam*(p1)
-    # and mu*(p2), lam*p1 + mu*p2 = p3; times [p1,p2], lam = [p3,p2], mu = [p1,p3].
+def _through_standard(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> tuple:
+    # The matrix (a, b, c, d) sending (1:0), (0:1), (1:1) to p1, p2, p3: columns
+    # lam*(p1) and mu*(p2), lam*p1 + mu*p2 = p3; times [p1,p2], lam = [p3,p2], mu = [p1,p3].
     lam = p3.u0 * p2.u1 - p3.u1 * p2.u0
     mu = p1.u0 * p3.u1 - p1.u1 * p3.u0
-    return Moebius(lam * p1.u0, mu * p2.u0, lam * p1.u1, mu * p2.u1)
+    return lam * p1.u0, mu * p2.u0, lam * p1.u1, mu * p2.u1
 
 
 def moebius_from_triples(
@@ -390,7 +370,10 @@ def moebius_from_triples(
         raise InvalidTriple(f"repeated source point in ({p1}, {p2}, {p3})")
     if len({q1, q2, q3}) != 3:
         raise InvalidTriple(f"repeated target point in ({q1}, {q2}, {q3})")
-    return _through_standard(q1, q2, q3).compose(_through_standard(p1, p2, p3).inverse())
+    # T_q times the adjugate of T_p, a multiple of its inverse
+    a, b, c, d = _through_standard(q1, q2, q3)
+    e, f, g, h = _through_standard(p1, p2, p3)
+    return Moebius(a * h - b * g, b * e - a * f, c * h - d * g, d * e - c * f)
 
 
 def _cross_pair(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> tuple:
@@ -434,9 +417,8 @@ class Interval(Value):
 
 def interval_image(m: Moebius, arc: Interval) -> Interval:
     """Pointwise image of a closed arc; endpoint roles follow orientation."""
-    if m.orientation > 0:
-        return Interval(m.apply(arc.start), m.apply(arc.end))
-    return Interval(m.apply(arc.end), m.apply(arc.start))
+    start, end = m.apply(arc.start), m.apply(arc.end)
+    return Interval(start, end) if m.a * m.d > m.b * m.c else Interval(end, start)
 
 
 class IntervalConfig(Value):
@@ -457,12 +439,14 @@ class IntervalConfig(Value):
         walk = sorted(((p, arc) for arc in intervals for p in (arc.start, arc.end)),
                       key=lambda step: _walk_key(step[0]))
         points = tuple(p for p, _ in walk)
-        if len(set(points)) != len(points):
+        if any(p == q for p, q in zip(points, points[1:])):  # equal points sort together
             raise InvalidModel("boundary points of a configuration must be distinct")
+        # with distinct points, a point is an arc's end exactly when it is that object
         for (p, a), (q, b) in zip(walk, walk[1:] + walk[:1]):
-            if p == a.start and q != a.end:
+            if p is a.start and q is not a.end:
                 raise InvalidModel(f"arcs {quote(a)} and {quote(b)} are not disjoint")
-        super().__init__(tuple(dict.fromkeys(arc for _, arc in walk)), points)
+        # each arc takes two neighbouring places: every other place lists each once
+        super().__init__(tuple(arc for _, arc in walk[::2]), points)
 
     @property
     def r(self) -> int:
@@ -487,16 +471,25 @@ class IntervalConfig(Value):
         return "IntervalConfig(" + ", ".join(map(repr, self.intervals)) + ")"
 
 
-def _match_intervals(m: Moebius, source: IntervalConfig, target: IntervalConfig) -> Optional[tuple]:
-    """Permutation nu with m(source[i]) == target[nu[i]], or None."""
-    # interval_image orders the ends by orientation, so equal ends mean
-    # equal arcs: no interior sample is needed.
+def _arc_ends(config: IntervalConfig) -> dict:
+    """{(start, end): i} over the arcs of config, each end an integer pair."""
+    return {((arc.start.u0, arc.start.u1), (arc.end.u0, arc.end.u1)): i
+            for i, arc in enumerate(config.intervals)}
+
+
+def _match_intervals(m: Moebius, ends: Iterable, index: dict) -> Optional[tuple]:
+    """Permutation nu with m sending the i-th arc of ends onto the arc that
+    index numbers nu[i], or None; _arc_ends gives both.  An image arc runs
+    from m(start) to m(end), reversed when m reverses orientation, so equal
+    ends mean equal arcs, and no point or arc is built."""
+    a, b, c, d = m.a, m.b, m.c, m.d
+    flip = a * d < b * c
     nu = []
-    for arc in source.intervals:
-        image = interval_image(m, arc)
-        try:
-            j = target.intervals.index(image)
-        except ValueError:
+    for (s0, s1), (e0, e1) in ends:
+        s = primitive(a * s0 + b * s1, c * s0 + d * s1)
+        e = primitive(a * e0 + b * e1, c * e0 + d * e1)
+        j = index.get((e, s) if flip else (s, e))
+        if j is None:
             return None
         nu.append(j)
     return tuple(nu)
@@ -548,8 +541,9 @@ def _equiv_candidates(c1: IntervalConfig, c2: IntervalConfig) -> Iterator[tuple]
         # interior points differ from the arc ends, so neither triple repeats
         b1.append(c1.intervals[0].interior_point())
         b2.append(c2.intervals[0].interior_point())
+    ends, index = _arc_ends(c1), _arc_ends(c2)
     for m in _dihedral_maps(b1, b2):
-        nu = _match_intervals(m, c1, c2)
+        nu = _match_intervals(m, ends, index)
         if nu is not None:
             yield m, nu
 

@@ -118,6 +118,17 @@ options:
     # 3.11 takes "--" for the command; 3.13.13 drops it and reads the next argument
     ("leading-dashes", ["--", "lattice"], 2, "", USAGE + INVALID_DASHES),
     ("dashes-after-unknown", ["-x", "--", "lattice"], 2, "", USAGE + INVALID_DASHES),
+    # an empty option value, or a "--" that argparse dropped, names no file and no seed
+    ("seed-dashes", ["selftest", "--seed=--"], 2, "",
+     SELFTEST_USAGE + "conicbundle selftest: error: argument --seed: expected one argument\n"),
+    ("empty-input", ["lattice", "--input="], 2, "",
+     LATTICE_USAGE + "conicbundle lattice: error: argument --input: expected one argument\n"),
+    ("input-dashes", ["lattice", "--input=--"], 2, "",
+     LATTICE_USAGE + "conicbundle lattice: error: argument --input: expected one argument\n"),
+    ("empty-output", ["lattice", "--output="], 2, "",
+     LATTICE_USAGE + "conicbundle lattice: error: argument --output: expected one argument\n"),
+    ("output-dashes", ["lattice", "--output=--"], 2, "",
+     LATTICE_USAGE + "conicbundle lattice: error: argument --output: expected one argument\n"),
     # the one subcommand whose usage wraps
     ("wrapped-usage", ["decide-verytransitive", "--input"], 2, "",
      "usage: conicbundle decide-verytransitive [-h] [--input INPUT]\n" + " " * 41

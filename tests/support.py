@@ -8,12 +8,15 @@ divided-difference table instead of solving the library's confluent
 Vandermonde system.  The Fraction references at the end are the
 Fraction-by-Fraction forms of the integer kernels of the fiber layers (among
 them surface membership and the transport rotation) and of the linear
-solver, and the map-building forms of the Moebius witness search.
+solver, and the map-building forms of the Moebius witness search: maps built
+through normalized matrices, and arcs matched by building their images.
 The P^1 order references are the Fraction forms of the walk key, the arc
 test and the interior point, which the library decides on integer brackets.
 The pairwise disjointness check and the gap-run walk are the references for
-the boundary walk that IntervalConfig and biconic_interval_image share, and
-the polyline merge is the reference for the planner's corners.  The
+the boundary walk that IntervalConfig and biconic_interval_image share, the
+walk that hashes its points and arcs is the reference for the one that
+compares neighbours, and the polyline merge is the reference for the
+planner's corners.  The
 Geiser reference divides the known root out of the fiber quadratic, branch by
 branch on which coordinate of that root is zero; it and the image reference
 evaluate the biconic forms in Fractions, form by form, and the image
@@ -64,6 +67,7 @@ from conicbundle.errors import (
     OnForbiddenLine,
     OutsideRegion,
     Unsupported,
+    quote,
 )
 from conicbundle.projline import (
     INF,
@@ -71,6 +75,7 @@ from conicbundle.projline import (
     Interval,
     ProjPoint,
     clear_denominators,
+    interval_image,
 )
 from conicbundle.twist import Rotation, ladder_fibers
 
@@ -161,6 +166,21 @@ class _Parser(argparse.ArgumentParser):
             raise argparse.ArgumentError(action, message)
 
 
+class _OneValue(argparse.Action):
+    """Store an option's value as argparse did, the seed as an int, but refuse an
+    empty value, or none, which argparse leaves after dropping a "--"."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values in ("", []):
+            raise argparse.ArgumentError(self, "expected one argument")
+        if self.dest == "seed":
+            try:
+                values = int(values)
+            except ValueError:
+                raise argparse.ArgumentError(self, f"invalid int value: {values!r}") from None
+        setattr(namespace, self.dest, values)
+
+
 @functools.cache
 def reference_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser as it was: explicit usage texts at a fixed
@@ -176,10 +196,12 @@ def reference_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, formatter_class=_formatter,
                            usage=_usage(f"conicbundle {name}", "[-h]", source, "[--output OUTPUT]"))
         if name == "selftest":
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", action=_OneValue, default=0)
         else:
-            p.add_argument("--input", default=None, help="JSON request file (default: stdin)")
-        p.add_argument("--output", default=None, help="output file (default: stdout)")
+            p.add_argument("--input", action=_OneValue, default=None,
+                           help="JSON request file (default: stdin)")
+        p.add_argument("--output", action=_OneValue, default=None,
+                       help="output file (default: stdout)")
     return parser
 
 
@@ -617,6 +639,40 @@ def reference_dihedral_maps(src, dst):
                 yield m
 
 
+def moebius_compose(m1, m2):
+    """The matrix product m1 m2, the map p -> m1(m2(p)), normalized."""
+    return Moebius(m1.a * m2.a + m1.b * m2.c, m1.a * m2.b + m1.b * m2.d,
+                   m1.c * m2.a + m1.d * m2.c, m1.c * m2.b + m1.d * m2.d)
+
+
+def moebius_inverse(m):
+    """The adjugate of m, the inverse map, normalized."""
+    return Moebius(m.d, -m.b, -m.c, m.a)
+
+
+def reference_moebius_from_triples(p1, p2, p3, q1, q2, q3):
+    """moebius_from_triples by normalized maps: the one through the standard
+    triple onto (q1, q2, q3) after the inverse of the one onto (p1, p2, p3)."""
+    if len({p1, p2, p3}) != 3:
+        raise InvalidTriple(f"repeated source point in ({p1}, {p2}, {p3})")
+    if len({q1, q2, q3}) != 3:
+        raise InvalidTriple(f"repeated target point in ({q1}, {q2}, {q3})")
+    return moebius_compose(reference_through_standard(q1, q2, q3),
+                           moebius_inverse(reference_through_standard(p1, p2, p3)))
+
+
+def reference_match_intervals(m, source, target):
+    """Permutation nu with m(source[i]) == target[nu[i]], or None, by
+    building each image arc and looking it up among the target's arcs."""
+    nu = []
+    for arc in source.intervals:
+        try:
+            nu.append(target.intervals.index(interval_image(m, arc)))
+        except ValueError:
+            return None
+    return tuple(nu)
+
+
 # ---------------------------------------------------------------------------
 # P^1 order references: the Fraction forms of the walk key, the arc test and
 # the interior point, which the library decides on integer brackets.
@@ -668,6 +724,21 @@ def reference_interval_config(arcs):
                 raise InvalidModel(f"arcs {a} and {b} are not disjoint")
     return tuple(sorted(arcs, key=lambda arc: min(reference_walk_key(arc.start),
                                                   reference_walk_key(arc.end))))
+
+
+def reference_interval_walk(arcs):
+    """(arcs, boundary points) of IntervalConfig(arcs), or its InvalidModel with
+    the same message, by the walk that hashes its values: a set of the points
+    finds a repeat, and dict.fromkeys lists each arc at its first point."""
+    walk = sorted(((p, arc) for arc in arcs for p in (arc.start, arc.end)),
+                  key=lambda step: reference_walk_key(step[0]))
+    points = tuple(p for p, _ in walk)
+    if len(set(points)) != len(points):
+        raise InvalidModel("boundary points of a configuration must be distinct")
+    for (p, a), (q, b) in zip(walk, walk[1:] + walk[:1]):
+        if p == a.start and q != a.end:
+            raise InvalidModel(f"arcs {quote(a)} and {quote(b)} are not disjoint")
+    return tuple(dict.fromkeys(arc for _, arc in walk)), points
 
 
 def reference_values_at(model, t):

@@ -561,6 +561,20 @@ def test_help_and_usage_errors_outlive_a_closed_stream(argv, redirect, code, sho
     assert shown in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("stdin, redirect, shown", [
+    ('{"m": 5}', ">&-", "cannot write output: standard output is closed\n"),
+    ('{"m": 5}', "<&-", "cannot read input: standard input is closed\n"),
+    ("{}", "2>&-", ""),
+], ids=["answer-without-stdout", "request-without-stdin", "schema-error-without-stderr"])
+def test_a_closed_standard_stream_is_data_error_without_traceback(stdin, redirect, shown):
+    # a closed stream is None in sys: exit 2, and the error goes to stderr if it is open
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(["sh", "-c", f'"$0" -m conicbundle.cli lattice {redirect}',
+                           sys.executable], input=stdin,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", shown)
+
+
 def test_undecodable_input_is_data_error_without_traceback(tmp_path):
     request = tmp_path / "request.json"
     request.write_bytes(b'{"m": 5, "note": "\xff"}')

@@ -13,7 +13,10 @@ input they construct no Fraction at all, and the jet coefficient builds one,
 its result.  An argument becomes a Fraction in one place, projline.as_rat,
 and a request token is read in one place, projline.token_ratio.  The golden
 corpus builds no more Fractions per subcommand than its ceiling, and the
-decisions build them only to decode a rational token.
+decisions build them only to decode a rational token.  It builds no more
+values (errors.Value constructions) per subcommand than their ceiling either,
+nor per class in the P^1 decisions, whose witness search builds a value only
+for the maps it yields.
 """
 
 import ast
@@ -26,6 +29,7 @@ from pathlib import Path
 import conicbundle
 from conicbundle import Rotation, SurfPoint, on_surface, rotation_from_param
 from conicbundle import twist as tw
+from conicbundle.errors import Value
 
 import support
 from golden_replay import WORKLOADS, load, replay
@@ -241,3 +245,59 @@ def test_fraction_census_stays_under_its_ceilings(monkeypatch):
     over = {c: (made[c], ceiling) for c, ceiling in FRACTION_CEILINGS.items() if made[c] > ceiling}
     assert not over, f"(built, ceiling) past the ceiling: {over}"
     assert not +elsewhere, f"Fractions built outside decoding and printing: {dict(elsewhere)}"
+
+
+# errors.Value constructions per subcommand over the whole golden corpus; a
+# change that raises one says why.
+VALUE_CEILINGS = {
+    "decide-birational": 1302,
+    "decide-iso": 853,
+    "decide-verytransitive": 951,
+    "realizable-perms": 746,
+    "stabilizer": 418,
+    "geiser": 96,
+    "biconic-image": 214,
+    "lattice": 2028,
+    "region-path": 256,
+    "twist": 4426,
+    "verify-twist": 1280,
+    "selftest": 1146,
+}
+# The P^1 decisions by class: the witness search builds one Moebius per map
+# that passes the cross-ratio filter, and no point or arc to match arcs; the
+# points and arcs counted are the request's and the interval images'.
+P1_VALUE_CEILINGS = {
+    "decide-birational": {"ConicModel": 104, "IntervalConfig": 104, "Interval": 342,
+                          "ProjPoint": 708, "Moebius": 44},
+    "decide-iso": {"ConicModel": 72, "MarkedModel": 72, "SurfPoint": 119, "IntervalConfig": 72,
+                   "Interval": 144, "ProjPoint": 312, "Moebius": 62},
+    "decide-verytransitive": {"ConicModel": 60, "MarkedModel": 60, "SurfPoint": 147,
+                              "IntervalConfig": 60, "Interval": 156, "ProjPoint": 312,
+                              "Moebius": 96, "VeryTransitiveVerdict": 60},
+    "realizable-perms": {"IntervalConfig": 50, "Interval": 150, "ProjPoint": 324, "Moebius": 222},
+    "stabilizer": {"ProjPoint": 186, "Moebius": 232},
+}
+
+
+def test_value_census_stays_under_its_ceilings(monkeypatch):
+    requests = [entry for workload in WORKLOADS for entry in load(workload)]
+    made = {command: Counter() for command in VALUE_CEILINGS}
+    command = None
+    init = Value.__init__
+
+    def counting(self, *values):
+        made[command][type(self).__name__] += 1
+        init(self, *values)
+
+    monkeypatch.setattr(Value, "__init__", counting)
+    for entry in requests:
+        command = entry["argv"][0]
+        replay(entry["argv"], entry["stdin"])
+    monkeypatch.undo()
+    over = {c: (made[c].total(), ceiling) for c, ceiling in VALUE_CEILINGS.items()
+            if made[c].total() > ceiling}
+    assert not over, f"(built, ceiling) past the ceiling: {over}"
+    over = {(c, name): (n, P1_VALUE_CEILINGS[c].get(name, 0))
+            for c in P1_VALUE_CEILINGS for name, n in made[c].items()
+            if n > P1_VALUE_CEILINGS[c].get(name, 0)}
+    assert not over, f"(built, ceiling) past the ceiling per class: {over}"

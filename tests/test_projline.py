@@ -202,15 +202,16 @@ def test_group_law_on_points(p):
     rng = random.Random(hash((p.u0, p.u1)) & 0xFFFF)
     m1 = support.random_moebius(rng)
     m2 = support.random_moebius(rng)
-    assert m1.compose(m2).apply(p) == m1.apply(m2.apply(p))
+    assert support.moebius_compose(m1, m2).apply(p) == m1.apply(m2.apply(p))
 
 
 def test_inverse_composes_to_identity():
     rng = random.Random(5)
     for _ in range(50):
         m = support.random_moebius(rng)
-        assert m.compose(m.inverse()) == Moebius.identity()
-        assert m.inverse().compose(m) == Moebius.identity()
+        inverse = support.moebius_inverse(m)
+        assert support.moebius_compose(m, inverse) == Moebius.identity()
+        assert support.moebius_compose(inverse, m) == Moebius.identity()
 
 
 def test_from_triples_identity():
@@ -278,7 +279,31 @@ def test_through_standard_matches_the_fraction_reference():
     rng = random.Random(61)
     for _ in range(500):
         triple = distinct_points(rng, 3, inf_share=0.2)
-        assert _through_standard(*triple) == support.reference_through_standard(*triple)
+        assert Moebius(*_through_standard(*triple)) == support.reference_through_standard(*triple)
+
+
+def test_from_triples_matches_the_composing_reference():
+    # the map as the product of two normalized maps through the standard
+    # triple, one inverted; repeated points give the same error and message
+    rng = random.Random(73)
+    through_inf = reversing = 0
+    for _ in range(2000):
+        p, q = distinct_points(rng, 3, inf_share=0.2), distinct_points(rng, 3, inf_share=0.2)
+        m = moebius_from_triples(*p, *q)
+        assert m == support.reference_moebius_from_triples(*p, *q), (p, q)
+        through_inf += INF in p + q
+        reversing += m.a * m.d < m.b * m.c
+    assert min(through_inf, reversing) > 500, (through_inf, reversing)
+    for _ in range(200):
+        p, q = distinct_points(rng, 3, inf_share=0.2), distinct_points(rng, 3, inf_share=0.2)
+        i, j = rng.sample(range(3), 2)
+        p[i] = p[j]
+        for points in ((*p, *q), (*q, *p)):
+            with pytest.raises(InvalidTriple) as got:
+                moebius_from_triples(*points)
+            with pytest.raises(InvalidTriple) as expected:
+                support.reference_moebius_from_triples(*points)
+            assert str(got.value) == str(expected.value)
 
 
 def test_cross_ratio_matches_the_map_to_zero_one_inf():
@@ -360,7 +385,7 @@ def test_interval_image_identity():
 def test_interval_image_reflection():
     # z -> 1 - z reverses orientation and fixes [0, 1] as a set.
     m = moebius_from_triples(ZERO, ONE, INF, ONE, ZERO, INF)
-    assert m.orientation == -1
+    assert m.a * m.d - m.b * m.c < 0
     arc = Interval(pt(0), pt(1))
     image = interval_image(m, arc)
     assert image == arc
@@ -464,6 +489,29 @@ def test_config_walk_matches_the_pairwise_reference():
         accepted += 1
         wrapped += any(arc.contains(INF) for arc in arcs)
     assert min(accepted, rejected) > 2500 and wrapped > 1000, (accepted, rejected, wrapped)
+
+
+def test_config_walk_matches_the_hashing_reference():
+    # Comparing neighbours of the sorted walk finds the same repeats, and
+    # every other place of it the same arcs, as a set of the points and
+    # dict.fromkeys of the arcs; errors carry the same message.
+    rng = random.Random(47)
+    seen = Counter()
+    for _ in range(10000):
+        arcs = random_arc_list(rng)
+        try:
+            expected = support.reference_interval_walk(arcs)
+        except InvalidModel as exc:
+            with pytest.raises(InvalidModel) as got:
+                IntervalConfig(tuple(arcs))
+            assert str(got.value) == str(exc), arcs
+            seen["repeated" if "distinct" in str(exc) else "overlapping"] += 1
+            continue
+        config = IntervalConfig(tuple(arcs))
+        assert (config.intervals, tuple(config.boundary_points())) == expected, arcs
+        seen["valid"] += 1
+        seen["wrapped"] += any(arc.contains(INF) and arc.start != INF for arc in arcs)
+    assert min(seen.values()) > 1000 and len(seen) == 4, seen
 
 
 def test_single_arc_witnesses_keep_the_straight_then_swapped_order():
@@ -638,7 +686,7 @@ def test_stabilizer_symmetric_four_points():
     # closed under composition
     for m1 in maps:
         for m2 in maps:
-            assert m1.compose(m2) in maps
+            assert support.moebius_compose(m1, m2) in maps
 
 
 # Generators of cyclic subgroups of PGL_2(Q), keyed by their order.
@@ -716,6 +764,39 @@ def test_dihedral_maps_match_the_map_building_reference():
         assert not known or maps
         equivalent += bool(maps)
     assert equivalent >= 100
+
+
+def _paired(points, shift):
+    """The config whose arcs join neighbouring points of the walk from
+    its place shift on; with shift 1 the last arc wraps round."""
+    walk = sorted(points, key=_walk_key)
+    walk = walk[shift:] + walk[:shift]
+    return IntervalConfig(tuple(Interval(walk[i], walk[i + 1]) for i in range(0, len(walk), 2)))
+
+
+def test_match_intervals_matches_the_reference_on_every_candidate():
+    # Every one of the 2n correspondences of each even case, the ones the
+    # cross-ratio filter drops included, as a map between the configs that
+    # pair neighbouring points on each side, matched on integer end pairs
+    # and by building each image arc.
+    matched = candidates = 0
+    for src, dst, _ in _dihedral_cases():
+        if len(src) % 2:
+            continue
+        c1 = _paired(src, 0)
+        b1, n = c1.boundary_points(), len(src)
+        for shift in (0, 1):
+            c2 = _paired(dst, shift)
+            b2 = c2.boundary_points()
+            ends, index = projline._arc_ends(c1), projline._arc_ends(c2)
+            for sign in (1, -1):
+                for k in range(n):
+                    m = moebius_from_triples(*b1[:3], *(b2[(k + sign * i) % n] for i in range(3)))
+                    nu = projline._match_intervals(m, ends, index)
+                    assert nu == support.reference_match_intervals(m, c1, c2), (c1, c2, m)
+                    matched += nu is not None
+                    candidates += 1
+    assert matched >= 100 and candidates - matched >= 1000, (matched, candidates)
 
 
 def test_dihedral_maps_build_one_map_per_yielded_map(monkeypatch):

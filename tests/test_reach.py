@@ -25,6 +25,7 @@ UNREACHED = {
     "cli._OnFirstUse.__init__": "import path: built only when cli runs as __main__",
     "cli._OnFirstUse.__getattr__": "import path: read only when cli runs as __main__",
     "cli.main": "entry point: `python -m conicbundle.cli`",
+    "cli._report": "error path: writes every data error",
     "cli._LongInt.__repr__": "error path: names an integer past the digit limit in a schema error",
     "cli._stop": "error path: only help and usage errors print and exit through it",
     "conic_model.ConicModel.q_at": "acceptance spec: criterion 1's surface equation",
@@ -49,10 +50,14 @@ UNREACHED = {
     "polynomial.RatPoly.zero": "reachable: interpolate with no node, a twist request with "
                                "no pair, pin or jet",
     "projline.IntervalConfig.apply": "acceptance spec: criterion 5's normal form",
+    "projline.Moebius.apply": "acceptance spec: criterion 5 maps an arc end; interval_image "
+                              "reads it",
     "projline.Moebius.apply_rat": "paper content: distinct_foliations_witness reads it",
     "projline.Moebius.from_rational": "acceptance spec: criterion 5's Moebius family",
     "projline.ProjPoint.infinity": "import-time: projline.INF, which the token \"inf\" reads",
     "projline._sieve": "import-time: the trial-division primes",
+    "projline.interval_image": "acceptance spec: IntervalConfig.apply reads it (criteria 4 "
+                               "and 5)",
     "projline.quote_rat": "error path: rationals in error messages",
     "projline.quote_rats": "error path: the points of the NotOnSurface, OutsideRegion, "
                            "OnForbiddenLine and unit-circle messages",
