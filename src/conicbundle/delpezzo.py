@@ -246,7 +246,9 @@ def _conic_point(c1: int, c2: int, c3: int) -> Optional[tuple]:
 
 def fiber_points(model: BiconicModel, t: ProjPoint, want: int = 6) -> list:
     """Rational points of the conic fiber over t, via one found point and
-    the line parametrization through it."""
+    the line parametrization through it.  Q(d) base - B(base, d) d, with B
+    the polar form of Q, is the second point where the line through base in
+    direction d meets the conic, so no candidate needs testing."""
     # c and -c define the same conic, and BiPoint normalizes the sign.
     c1, c2, c3 = primitive(*model.values_at(t))
     base = _conic_point(c1, c2, c3)
@@ -274,7 +276,7 @@ def fiber_points(model: BiconicModel, t: ProjPoint, want: int = 6) -> list:
         if all(value == 0 for value in candidate):
             continue
         pt = BiPoint(candidate, t)
-        if pt not in points and on_biconic(model, pt):
+        if pt not in points:
             points.append(pt)
         if len(points) >= want:
             break
@@ -294,7 +296,7 @@ def distinct_foliations_witness(model: BiconicModel) -> tuple:
     into_arcs = [moebius_from_triples(ZERO, ONE, INF, arc.start, arc.end,
                                       Interval(arc.end, arc.start).interior_point())
                  for arc in image.intervals]
-    params = (m.apply_rat(u) for m in into_arcs
+    params = (m.apply(ProjPoint.from_rat(u)) for m in into_arcs
               for rung in ladder(0, 1) for u in rung)
     for t in islice(params, _WITNESS_BUDGET):
         values = {}

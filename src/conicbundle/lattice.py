@@ -151,26 +151,23 @@ class ClassPerm(Value):
         return [i for i, j in enumerate(self.mapping) if i == j]
 
 
+# The 16 degree-4 classes Ei, Lij and the conic G, named in the order
+# exceptional_classes(5) builds them.
+_DEG4_NAMES = (*(f"E{i}" for i in range(1, 6)),
+              *(f"L{i}{j}" for i, j in combinations(range(1, 6), 2)), "G")
+
+
 def deg4_class_names() -> Dict[str, PicVector]:
     """Naming of the 16 degree-4 classes: Ei, Lij and the conic G."""
-    names = {}
-    for i in range(1, 6):
-        names[f"E{i}"] = e(i, 5)
-    for i, j in combinations(range(1, 6), 2):
-        names[f"L{i}{j}"] = line_class(i, j, 5)
-    names["G"] = PicVector((2, -1, -1, -1, -1, -1))
-    return names
+    return dict(zip(_DEG4_NAMES, exceptional_classes(5)))
 
 
 def _perm_from_transpositions(pairs) -> ClassPerm:
-    classes = tuple(exceptional_classes(5))
-    names = deg4_class_names()
-    index = {v: i for i, v in enumerate(classes)}
-    mapping = list(range(len(classes)))
+    mapping = list(range(len(_DEG4_NAMES)))
     for left, right in pairs:
-        i, j = index[names[left]], index[names[right]]
+        i, j = _DEG4_NAMES.index(left), _DEG4_NAMES.index(right)
         mapping[i], mapping[j] = j, i
-    return ClassPerm(classes, tuple(mapping))
+    return ClassPerm(tuple(exceptional_classes(5)), tuple(mapping))
 
 
 def deg4_sigma() -> ClassPerm:

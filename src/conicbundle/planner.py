@@ -121,24 +121,20 @@ def validate_path(region: Region, path: SegPath, start, end,
         return start == end and region.contains(start)
     if path.segments[0].a != start or path.segments[-1].b != end:
         return False
-    x_cuts = sorted({r.x0 for r in region.rects} | {r.x1 for r in region.rects})
-    y_cuts = sorted({r.y0 for r in region.rects} | {r.y1 for r in region.rects})
+    # per axis k along which a segment runs: the rectangle edges it crosses,
+    # and the forbidden values of its other coordinate
+    cuts = [sorted({r.x0 for r in region.rects} | {r.x1 for r in region.rects}),
+            sorted({r.y0 for r in region.rects} | {r.y1 for r in region.rects})]
+    forbidden = (forbidden_y, forbidden_x)
     for seg in path.segments:
-        if seg.is_vertical:
-            if seg.a[0] in forbidden_x:
-                return False
-            lo, hi = sorted((seg.a[1], seg.b[1]))
-            stops = [lo] + [c for c in y_cuts if lo < c < hi] + [hi]
-            probes = [(seg.a[0], (u + v) / 2) for u, v in zip(stops, stops[1:])]
-            probes += [(seg.a[0], c) for c in stops]
-        else:
-            if seg.a[1] in forbidden_y:
-                return False
-            lo, hi = sorted((seg.a[0], seg.b[0]))
-            stops = [lo] + [c for c in x_cuts if lo < c < hi] + [hi]
-            probes = [((u + v) / 2, seg.a[1]) for u, v in zip(stops, stops[1:])]
-            probes += [(c, seg.a[1]) for c in stops]
-        if not all(region.contains(p) for p in probes):
+        k = int(seg.is_vertical)
+        fixed = seg.a[1 - k]
+        if fixed in forbidden[k]:
+            return False
+        lo, hi = sorted((seg.a[k], seg.b[k]))
+        stops = [lo] + [c for c in cuts[k] if lo < c < hi] + [hi]
+        along = [(u + v) / 2 for u, v in zip(stops, stops[1:])] + stops
+        if not all(region.contains((fixed, t) if k else (t, fixed)) for t in along):
             return False
     return True
 

@@ -345,9 +345,6 @@ class Moebius(Value):
     def apply(self, p: ProjPoint) -> ProjPoint:
         return ProjPoint(self.a * p.u0 + self.b * p.u1, self.c * p.u0 + self.d * p.u1)
 
-    def apply_rat(self, value: Rat) -> ProjPoint:
-        return self.apply(ProjPoint.from_rat(value))
-
     def as_json(self) -> dict:
         return {"a": format_rat(self.a), "b": format_rat(self.b),
                 "c": format_rat(self.c), "d": format_rat(self.d)}
@@ -582,10 +579,10 @@ def stabilizer(points: Iterable) -> list:
 
     A stabilizing map keeps or reverses the cyclic order of the set, so it
     is one of the at most 2n maps _dihedral_maps yields from the set onto
-    itself.  The maps are returned sorted by matrix entries.
+    itself.  Those maps fix pairwise different images of the first three
+    points, so none repeats and the sort by matrix entries needs no dedupe.
     """
     pts = sorted(set(points), key=_walk_key)
     if len(pts) < 3:
         raise InfiniteStabilizer(f"{len(pts)} points span an infinite stabilizer")
-    found = {(m.a, m.b, m.c, m.d): m for m in _dihedral_maps(pts, pts)}
-    return [found[k] for k in sorted(found)]
+    return sorted(_dihedral_maps(pts, pts), key=lambda m: (m.a, m.b, m.c, m.d))

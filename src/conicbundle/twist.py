@@ -168,52 +168,50 @@ def twist_from_rotations(model: ConicModel, rotation_nodes: Sequence,
     together with tangent coefficient 2*mu0, which is 2 lambda'/(1 + lambda^2)
     there: the jet row asks lambda'(x0) = mu0 (1 + lambda(x0)^2).
     """
-    node_xs, rotations = [], []
+    rotations = {}  # x -> its Rotation, in the order given
     for x, rot in rotation_nodes:
         x = as_rat(x)
         if model.q_ratio(x)[0] <= 0:
             raise SingularFiberTarget(f"Q({quote_rat(x)}) <= 0: no circle to rotate")
-        if x in node_xs:
+        if x in rotations:
             raise DuplicateNode(f"two rotations prescribed over x = {quote_rat(x)}")
-        node_xs.append(x)
-        rotations.append(rot)
+        rotations[x] = rot
 
-    jet_list, jet_xs = [], []
+    jet_mus = {}
     for x0, mu0 in jets:
         x0, mu0 = as_rat(x0), as_rat(mu0)
-        if x0 in node_xs:
+        if x0 in rotations:
             raise PinCollision(f"jet node x = {quote_rat(x0)} collides with a transported fiber")
-        if x0 in jet_xs:
+        if x0 in jet_mus:
             raise DuplicateNode(f"two jets prescribed at x = {quote_rat(x0)}")
         if model.q_ratio(x0)[0] <= 0:
             raise EmptyOrSingularFiber(f"jet fiber Q({quote_rat(x0)}) <= 0")
-        jet_xs.append(x0)
-        jet_list.append((x0, mu0))
+        jet_mus[x0] = mu0
 
-    pin_list = []
+    pinned = {}  # a repeated pin, or one on a jet fiber, adds nothing
     for b in pins:
         b = as_rat(b)
-        if b in node_xs:
+        if b in rotations:
             raise PinCollision(f"pin x = {quote_rat(b)} collides with a transported fiber")
         if model.q_ratio(b)[0] < 0:
             raise EmptyOrSingularFiber(f"pin x = {quote_rat(b)} is outside the interval image")
-        if b not in pin_list and b not in jet_xs:
-            pin_list.append(b)
+        if b not in jet_mus:
+            pinned[b] = None
 
-    base = choose_base_rotation(rotations)
+    base = choose_base_rotation(rotations.values())
     lam_id = chart_param(base, Rotation.identity())
-    nodes = [(x, chart_param(base, rot)) for x, rot in zip(node_xs, rotations)]
-    nodes += [(x0, lam_id, mu0 * (1 + lam_id * lam_id)) for x0, mu0 in jet_list]
-    nodes += [(b, lam_id) for b in pin_list]
+    nodes = [(x, chart_param(base, rot)) for x, rot in rotations.items()]
+    nodes += [(x0, lam_id, mu0 * (1 + lam_id * lam_id)) for x0, mu0 in jet_mus.items()]
+    nodes += [(b, lam_id) for b in pinned]
     twist = TwistMap(base, interpolate(nodes))
 
-    for x, rot in zip(node_xs, rotations):
+    for x, rot in rotations.items():
         if twist.fiber_rotation(x) != rot:
             raise AssertionError(f"twist misses the prescribed rotation over x = {x}")
-    for b in pin_list:
+    for b in pinned:
         if not twist.fiber_rotation(b).is_identity:
             raise AssertionError(f"twist moves the pinned fiber x = {b}")
-    for x0, mu0 in jet_list:
+    for x0, mu0 in jet_mus.items():
         if not twist.fiber_rotation(x0).is_identity:
             raise AssertionError(f"twist moves the jet fiber x = {x0}")
         if tangent_coefficient(twist, x0) != 2 * mu0:

@@ -10,6 +10,7 @@ from conicbundle import (
     IntervalConfig,
     MarkedModel,
     Moebius,
+    ProjPoint,
     SurfPoint,
     component_index,
     decide_birational,
@@ -170,7 +171,7 @@ def test_decide_birational_translation():
     m2 = ConicModel((5, 6, 7, 8))
     witness = decide_birational(m1, m2)
     assert witness is not None
-    assert witness.apply_rat(0).to_token() in ("5", "8")
+    assert witness.apply(ProjPoint.from_rat(0)).to_token() in ("5", "8")
     assert support.witness_maps_config(
         witness, interval_image(m1), interval_image(m2),
         support.oracle_equiv(interval_image(m1), interval_image(m2))[1])

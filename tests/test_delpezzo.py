@@ -584,6 +584,32 @@ def test_fiber_points_all_on_surface():
         assert on_biconic(model, p)
 
 
+def test_every_fiber_point_lies_on_the_surface():
+    # fiber_points keeps the second meeting point of each line through its
+    # base point without testing it: the selftest's three models, built
+    # ones and the random models of the Geiser cases, over a grid of fibers
+    # and each arc's interior point.
+    rng = random.Random(8)
+    models = [biconic_from_config(cfg(*arcs)) for arcs in ([(0, 1)], [(-2, 2)], [(0, 1), (2, 3)])]
+    models += [biconic_from_config(support.random_config(rng, k, low=-12, high=12))
+               for k in (1, 2, 3) for _ in range(5)]
+    while len(models) < 60:
+        case = _geiser_case(rng)
+        if case is not None:
+            models.append(case[0])
+    grid = {ProjPoint(a, b) for a in range(-4, 5) for b in (1, 2, 3)} | {ProjPoint(1, 0)}
+    found = 0
+    for model in models:
+        arcs = _outcome(biconic_interval_image, model)
+        ts = set(grid) | ({arc.interior_point() for arc in arcs.intervals}
+                          if isinstance(arcs, IntervalConfig) else set())
+        for t in ts:
+            for p in fiber_points(model, t, want=8):
+                assert p.t == t and on_biconic(model, p)
+                found += 1
+    assert found >= 1000, found
+
+
 # -- rational points on a fiber conic ---------------------------------------------
 
 def reference_conic_point(c1, c2, c3):

@@ -257,11 +257,11 @@ VALUE_CEILINGS = {
     "stabilizer": 418,
     "geiser": 96,
     "biconic-image": 214,
-    "lattice": 2028,
+    "lattice": 1900,
     "region-path": 256,
     "twist": 4426,
     "verify-twist": 1280,
-    "selftest": 1146,
+    "selftest": 1114,
 }
 # The P^1 decisions by class: the witness search builds one Moebius per map
 # that passes the cross-ratio filter, and no point or arc to match arcs; the

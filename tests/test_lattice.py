@@ -154,6 +154,19 @@ def test_sigma_and_alpha_cycle_listing():
     assert image(alpha, "G") == names["L15"]
 
 
+def test_deg4_names_list_the_exceptional_classes_in_order():
+    names = deg4_class_names()
+    assert list(names) == ["E1", "E2", "E3", "E4", "E5", "L12", "L13", "L14", "L15",
+                           "L23", "L24", "L25", "L34", "L35", "L45", "G"]
+    assert list(names.values()) == exceptional_classes(5)
+
+
+def test_sigma_and_alpha_mappings_are_pinned():
+    assert deg4_sigma().mapping == (15, 5, 6, 7, 8, 1, 2, 3, 4, 14, 13, 12, 11, 10, 9, 0)
+    assert deg4_alpha().mapping == (4, 12, 10, 9, 0, 11, 13, 14, 15, 3, 2, 5, 1, 6, 7, 8)
+    assert deg4_sigma().classes == deg4_alpha().classes == tuple(exceptional_classes(5))
+
+
 def test_sigma_alpha_involutions_without_fixed_classes():
     for perm in (deg4_sigma(), deg4_alpha()):
         assert perm.is_involution

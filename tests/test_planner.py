@@ -133,6 +133,27 @@ def test_validate_rejects_escaping_segment():
                              (Fraction(5), Fraction(1, 2)))
 
 
+def test_validate_rejects_vertical_segment_leaving_the_region():
+    # both ends lie in the region, the middle of the segment does not
+    gap = region((0, 1, 0, 1), (0, 1, 2, 3))
+    start, end = (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(5, 2))
+    assert not validate_path(gap, SegPath((Segment(start, end),)), start, end)
+
+
+def test_validate_rejects_segments_on_their_forbidden_lines():
+    # a vertical segment may cross a forbidden y-line but not run along a
+    # forbidden x-line, and a horizontal one the other way round
+    half, three_halves = Fraction(1, 2), Fraction(3, 2)
+    for start, end, along, crossing in (
+            ((three_halves, half), (three_halves, Fraction(5, 2)),
+             {"forbidden_x": [three_halves]}, {"forbidden_y": [1]}),
+            ((half, half), (three_halves, half), {"forbidden_y": [half]}, {"forbidden_x": [1]})):
+        path = SegPath((Segment(start, end),))
+        assert validate_path(L_REGION, path, start, end)
+        assert validate_path(L_REGION, path, start, end, **crossing)
+        assert not validate_path(L_REGION, path, start, end, **along)
+
+
 def test_validate_rejects_wrong_endpoints():
     path = SegPath((Segment((0, 0), (1, 0)),))
     assert not validate_path(L_REGION, path, (0, 0), (2, 0))

@@ -813,6 +813,22 @@ def test_dihedral_maps_build_one_map_per_yielded_map(monkeypatch):
     assert 0 < yielded == len(built)
 
 
+def test_stabilizer_maps_are_distinct_and_in_matrix_order():
+    # _dihedral_maps never yields a map twice, so stabilizer sorts without
+    # a dedupe; the symmetric fixtures above and every dihedral case.
+    cases = [[ZERO, ONE, INF], [pt(0), pt(1), pt(2), pt(5)], [pt(-1), pt(0), pt(1), INF]]
+    cases += [src for src, _, _ in _dihedral_cases()]
+    symmetric = 0
+    for pts in cases:
+        keys = [(m.a, m.b, m.c, m.d) for m in stabilizer(pts)]
+        assert keys == sorted(set(keys))
+        symmetric += len(keys) > 1
+    assert symmetric >= 20
+    for src, dst, _ in _dihedral_cases():
+        maps = list(_dihedral_maps(src, dst))
+        assert len(set(maps)) == len(maps)
+
+
 def test_realizable_permutations_needs_an_interval():
     with pytest.raises(ConicBundleError, match="need at least one interval"):
         realizable_permutations(IntervalConfig(()))

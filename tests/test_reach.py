@@ -30,6 +30,8 @@ UNREACHED = {
     "cli._stop": "error path: only help and usage errors print and exit through it",
     "conic_model.ConicModel.q_at": "acceptance spec: criterion 1's surface equation",
     "delpezzo.distinct_foliations_witness": "paper content that biconic-image will print",
+    "delpezzo.on_biconic": "paper content: the surface equation, which the tests hold "
+                           "fiber_points and geiser to",
     "delpezzo.second_fibration": "paper content: distinct_foliations_witness reads it",
     "errors.SchemaError.__init__": "error path: every schema error",
     "errors.Value.__init_subclass__": "import-time: runs as each value class is defined",
@@ -39,6 +41,8 @@ UNREACHED = {
     "lattice.PicVector.__add__": "acceptance spec: criterion 10 adds fiber classes",
     "lattice.PicVector.__repr__": "the repr that tests/test_values.py pins",
     "lattice.conic_fiber_partner": "acceptance spec (criterion 10), and paper content for lattice",
+    "lattice.deg4_class_names": "paper content: the names of the classes that sigma and "
+                                "alpha swap",
     "lattice.e0": "acceptance spec: criterion 10 builds e0 - e_i",
     "polynomial.RatPoly.__add__": "acceptance spec: criterion 2's orthogonality identity",
     "polynomial.RatPoly.__mul__": "acceptance spec: criterion 2's orthogonality identity",
@@ -52,7 +56,6 @@ UNREACHED = {
     "projline.IntervalConfig.apply": "acceptance spec: criterion 5's normal form",
     "projline.Moebius.apply": "acceptance spec: criterion 5 maps an arc end; interval_image "
                               "reads it",
-    "projline.Moebius.apply_rat": "paper content: distinct_foliations_witness reads it",
     "projline.Moebius.from_rational": "acceptance spec: criterion 5's Moebius family",
     "projline.ProjPoint.infinity": "import-time: projline.INF, which the token \"inf\" reads",
     "projline._sieve": "import-time: the trial-division primes",

@@ -529,6 +529,62 @@ def test_synthesize_error_cases():
         twist_from_rotations(model, [(Fraction(1, 2), QUARTER), (Fraction(1, 2), HALF)])
 
 
+# A quarter turn over each fiber of the unit model, as a (source, target)
+# pair for synthesize_twist: Q(1/2) = 1/4 and Q(1/3) = 2/9.
+FIBER_PAIRS = {
+    Fraction(1, 2): (SurfPoint(Fraction(1, 2), Fraction(1, 2), 0),
+                     SurfPoint(Fraction(1, 2), 0, Fraction(1, 2))),
+    Fraction(1, 3): (SurfPoint(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+                     SurfPoint(Fraction(1, 3), Fraction(-1, 3), Fraction(1, 3))),
+}
+
+
+def _twist_via(entry, model, xs, pins=(), jets=()):
+    """The twist with a quarter turn over each x of xs, prescribed as
+    rotations or transported as point pairs."""
+    if entry == "rotations":
+        return twist_from_rotations(model, [(x, QUARTER) for x in xs], pins=pins, jets=jets)
+    return synthesize_twist(model, [FIBER_PAIRS[x] for x in xs], pins=pins, jets=jets)
+
+
+@pytest.mark.parametrize("entry", ["rotations", "pairs"])
+@pytest.mark.parametrize("xs, pins, jets, error, message", [
+    ([Fraction(1, 2), Fraction(1, 2)], (), (),
+     DuplicateNode, "two rotations prescribed over x = 1/2"),
+    ([Fraction(1, 2)], (), [(Fraction(1, 2), 1)],
+     PinCollision, "jet node x = 1/2 collides with a transported fiber"),
+    ([], (), [(Fraction(1, 4), 1), (Fraction(1, 4), 2)],
+     DuplicateNode, "two jets prescribed at x = 1/4"),
+    ([], (), [(Fraction(2), 1)], EmptyOrSingularFiber, "jet fiber Q(2) <= 0"),
+    ([], (), [(Fraction(0), 1)], EmptyOrSingularFiber, "jet fiber Q(0) <= 0"),
+    ([], [Fraction(-1, 3)], (),
+     EmptyOrSingularFiber, "pin x = -1/3 is outside the interval image"),
+    ([Fraction(1, 2)], [Fraction(1, 2)], (),
+     PinCollision, "pin x = 1/2 collides with a transported fiber"),
+    # nodes are checked before jets, and jets before pins
+    ([Fraction(1, 2), Fraction(1, 2)], (), [(Fraction(2), 1)],
+     DuplicateNode, "two rotations prescribed over x = 1/2"),
+    ([Fraction(1, 3)], [Fraction(1, 3)], [(Fraction(1, 3), 1)],
+     PinCollision, "jet node x = 1/3 collides with a transported fiber"),
+    ([], [Fraction(3)], [(Fraction(2), 1)], EmptyOrSingularFiber, "jet fiber Q(2) <= 0"),
+])
+def test_twist_constraint_errors(entry, xs, pins, jets, error, message):
+    with pytest.raises(error) as got:
+        _twist_via(entry, unit_model(), xs, pins, jets)
+    assert type(got.value) is error and str(got.value) == message
+
+
+@pytest.mark.parametrize("entry", ["rotations", "pairs"])
+def test_twist_drops_repeated_pins_and_pins_on_jet_fibers(entry):
+    # a pin on a root is allowed, Q = 0 there
+    model, jets = unit_model(), [(Fraction(1, 4), Fraction(1))]
+    plain = _twist_via(entry, model, [Fraction(1, 2)], [Fraction(0)], jets)
+    for pins in ([Fraction(0), Fraction(0)], [Fraction(0), Fraction(1, 4)],
+                 [Fraction(1, 4), Fraction(0), Fraction(1, 4), Fraction(0)]):
+        assert _twist_via(entry, model, [Fraction(1, 2)], pins, jets) == plain
+    assert _twist_via(entry, model, [Fraction(1, 2)], [], jets) != plain
+
+
 def test_synthesize_antipodal_forces_nontrivial_base():
     model = unit_model()
     p = SurfPoint(Fraction(1, 2), Fraction(1, 2), 0)
