@@ -151,10 +151,7 @@ def biconic_from_config(config: IntervalConfig) -> BiconicModel:
     # fillers -a^2 - s b^2: no real root, and distinct roots +-i sqrt(s)
     forms = [_interval_form(arc) for arc in config.intervals]
     forms += [BinQuadForm(-1, 0, -s) for s in range(1, 4 - k)]
-    model = BiconicModel(forms[0], forms[1], forms[2], k)
-    if biconic_interval_image(model) != config:
-        raise InvalidModel("constructed model does not reproduce the configuration")
-    return model
+    return BiconicModel(forms[0], forms[1], forms[2], k)
 
 
 def biconic_interval_image(model: BiconicModel) -> IntervalConfig:

@@ -109,7 +109,5 @@ def solve_linear(rows: list, rhs: list) -> list:
     nums = [0] * n
     for i in range(n - 1, -1, -1):
         known = sum(a * y for a, y in zip(aug[i][i + 1:n], nums[i + 1:]))
-        nums[i], rem = divmod(det * aug[i][n] - known, aug[i][i])
-        if rem:
-            raise AssertionError("inexact back-substitution")
+        nums[i] = (det * aug[i][n] - known) // aug[i][i]
     return [Fraction(num, det) for num in nums]

@@ -203,20 +203,7 @@ def twist_from_rotations(model: ConicModel, rotation_nodes: Sequence,
     nodes = [(x, chart_param(base, rot)) for x, rot in rotations.items()]
     nodes += [(x0, lam_id, mu0 * (1 + lam_id * lam_id)) for x0, mu0 in jet_mus.items()]
     nodes += [(b, lam_id) for b in pinned]
-    twist = TwistMap(base, interpolate(nodes))
-
-    for x, rot in rotations.items():
-        if twist.fiber_rotation(x) != rot:
-            raise AssertionError(f"twist misses the prescribed rotation over x = {x}")
-    for b in pinned:
-        if not twist.fiber_rotation(b).is_identity:
-            raise AssertionError(f"twist moves the pinned fiber x = {b}")
-    for x0, mu0 in jet_mus.items():
-        if not twist.fiber_rotation(x0).is_identity:
-            raise AssertionError(f"twist moves the jet fiber x = {x0}")
-        if tangent_coefficient(twist, x0) != 2 * mu0:
-            raise AssertionError(f"twist misses the prescribed jet at x = {x0}")
-    return twist
+    return TwistMap(base, interpolate(nodes))
 
 
 def synthesize_twist(model: ConicModel, pairs: Sequence,

@@ -64,7 +64,10 @@ UNREACHED = {
     "projline.quote_rat": "error path: rationals in error messages",
     "projline.quote_rats": "error path: the points of the NotOnSurface, OutsideRegion, "
                            "OnForbiddenLine and unit-circle messages",
+    "twist.Rotation.is_identity": "acceptance spec: criteria 1 and 3 check pinned and jet "
+                                  "fibers with it",
     "twist._circle_scan": "the fallback of _circle_solution when factoring runs past its budget",
+    "twist.tangent_coefficient": "acceptance spec: criterion 3's kappa = 2 mu0",
 }
 
 

@@ -1,6 +1,8 @@
-"""The project configuration itself: a failing test must not end the
-session, and the console script loads only its subcommand's layers."""
+"""The project configuration itself: the suite runs from a plain checkout,
+a failing test must not end the session, and the console script loads only
+its subcommand's layers."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +40,16 @@ def test_a_failing_given_test_does_not_abort_the_session(tmp_path):
     output = result.stdout + result.stderr
     assert "INTERNALERROR" not in output, output
     assert "1 failed, 1 passed" in output, output
+
+
+def test_the_suite_collects_from_a_plain_checkout():
+    # pytest itself puts src/ on the path: no install and no PYTHONPATH
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--collect-only",
+         "tests/test_values.py"],
+        cwd=PYPROJECT.parent, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_the_console_script_loads_only_its_subcommand_layers():

@@ -972,23 +972,95 @@ def test_verify_twist_passes_on_synthesized():
     assert report.passed and not report.failures
 
 
-def test_postcondition_survives_optimize_flag():
-    # Under python -O a bare assert vanishes; the synthesis postcondition
-    # must still reject an interpolant that misses its pinned fiber.
-    script = "\n".join([
-        "from fractions import Fraction",
-        "from conicbundle import ConicModel, RatPoly, twist",
-        "assert False, 'asserts are live: not running under -O'",
-        "interpolate = twist.interpolate",
-        "twist.interpolate = lambda nodes: interpolate(nodes) + RatPoly.one()",
-        "try:",
-        "    twist.synthesize_twist(ConicModel((0, 1)), [], pins=[Fraction(1, 2)])",
-        "except AssertionError as exc:",
-        "    print('raised:', exc)",
-    ])
-    proc = support.run_python("-O", "-c", script)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: twist moves the pinned fiber")
+def _random_roots(rng, r, height):
+    roots = set()
+    while len(roots) < 2 * r:
+        roots.add(random_fraction(rng, height))
+    return ConicModel(tuple(sorted(roots)))
+
+
+def _inside(rng, model):
+    """A parameter strictly inside one of the model's intervals, Q > 0 there."""
+    i = rng.randrange(model.r)
+    lo, hi = model.roots[2 * i], model.roots[2 * i + 1]
+    den = rng.randint(2, 16)
+    return lo + (hi - lo) * Fraction(rng.randint(1, den - 1), den)
+
+
+def _sphere_points(rng, model, want):
+    """Up to want points of the r = 1 model on distinct fibers with Q > 0:
+    the unit-sphere points (1 - s^2 - t^2, 2s, 2t) / (1 + s^2 + t^2), (s, t)
+    != (0, 0), scaled by the radius about the centre of [a, b]."""
+    a, b = model.roots
+    centre, radius = (a + b) / 2, (b - a) / 2
+    points = {}
+    for _ in range(4 * want):
+        s, t = random_fraction(rng, 9), random_fraction(rng, 9)
+        if s or t:
+            n = 1 + s * s + t * t
+            x = centre + radius * (1 - s * s - t * t) / n
+            points.setdefault(x, SurfPoint(x, radius * 2 * s / n, radius * 2 * t / n))
+    return list(points.values())[:want]
+
+
+def _constraint_request(rng):
+    """One seeded request (model, pairs, nodes, pins, jets): point pairs for
+    synthesize_twist, or pairs None and rotation nodes for
+    twist_from_rotations.  r = 1-3, roots of height up to 10^6, and 0-12
+    constraints of mixed kinds; a pin may sit on a root, repeat, or fall on
+    a jet fiber."""
+    r, height = rng.choice((1, 2, 3)), rng.choice((9, 10 ** 3, 10 ** 6))
+    n_nodes, n_pins, n_jets = (rng.randint(0, 4) for _ in range(3))
+    spins = [QUARTER, HALF, SPIN35, Rotation.identity(),
+             rotation_from_param(random_fraction(rng, height))]
+    pairs, nodes, pins = None, [], []
+    if rng.random() < 0.5:
+        if r == 1:
+            model = _random_roots(rng, 1, height)
+            points = _sphere_points(rng, model, n_nodes)
+        elif height == 9:
+            model = support.random_model(rng, r)
+            points = support.model_fibers_with_points(model, n_nodes)
+        else:  # one point, built with the model; on a root it is a pin
+            model, point = support.model_through_point(rng, r, height)
+            points = [point] if model.q_at(point.x) else []
+            pins = [] if points else [point.x]
+        pairs = [(p, SurfPoint(p.x, *rng.choice(spins).apply(p.y, p.z))) for p in points]
+    else:
+        model = _random_roots(rng, r, height)
+        nodes = [(x, rng.choice(spins)) for x in {_inside(rng, model) for _ in range(n_nodes)}]
+    taken = {x for x, _ in nodes} | {p.x for p, _ in pairs or ()}
+    jets = {}
+    for x0 in (_inside(rng, model) for _ in range(n_jets)):
+        if x0 not in taken:
+            jets[x0] = random_fraction(rng, height)
+    candidates = [*model.roots, *jets, *(_inside(rng, model) for _ in range(4))]
+    pins += [b for b in (rng.choice(candidates) for _ in range(n_pins)) if b not in taken]
+    return model, pairs, nodes, pins, list(jets.items())
+
+
+def test_synthesized_twists_meet_every_constraint():
+    # Synthesis returns the exact interpolant unchecked; this holds it to
+    # every prescribed rotation, transported pair, pin and jet.
+    rng = random.Random(31)
+    met = Counter()
+    for _ in range(240):
+        model, pairs, nodes, pins, jets = _constraint_request(rng)
+        if pairs is None:
+            twist = twist_from_rotations(model, nodes, pins=pins, jets=jets)
+        else:
+            twist = synthesize_twist(model, pairs, pins=pins, jets=jets)
+        for x, rot in nodes:
+            assert twist.fiber_rotation(x) == rot
+        for p, q in pairs or ():
+            assert twist.fiber_rotation(p.x).apply(p.y, p.z) == (q.y, q.z)
+        for b in pins:
+            assert twist.fiber_rotation(b).is_identity
+        for x0, mu0 in jets:
+            assert twist.fiber_rotation(x0).is_identity
+            assert tangent_coefficient(twist, x0) == 2 * mu0
+        met.update(nodes=len(nodes), pairs=len(pairs or ()), pins=len(pins), jets=len(jets))
+    assert min(met.values()) >= 150, met
 
 
 def test_inverse_twist_composes_to_identity():
