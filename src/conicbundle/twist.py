@@ -239,11 +239,6 @@ def apply_twist(model: ConicModel, twist: TwistMap, p: SurfPoint) -> SurfPoint:
     return SurfPoint(p.x, y, z)
 
 
-def inverse_twist(twist: TwistMap) -> TwistMap:
-    """The exact inverse: invert the base and negate the interpolant."""
-    return TwistMap(twist.base.inverse(), -twist.lam)
-
-
 def tangent_coefficient(twist: TwistMap, x0: Rat) -> Rat:
     """d/dx of the sine entry of the fiber rotation, evaluated at x0.
 
@@ -377,23 +372,23 @@ class TwistReport(Value):
 def verify_twist(model: ConicModel, twist: TwistMap) -> TwistReport:
     """Certify membership preservation and invertibility on sampled points.
 
-    Every fiber map is a rotation by construction (see `Rotation`), so none
-    is checked here.  Q(x) and both rotations are computed once per distinct
-    sampled fiber; every sampled point is still checked.
+    Every fiber map is a rotation by construction (see `Rotation`), so none is
+    checked, and its conjugate is the inverse twist's fiber map.  Q(x) and the
+    rotation are computed once per distinct sampled fiber; every point is checked.
     """
     failures = []
-    inv = inverse_twist(twist)
     points = sample_surface_points(model)
     fibers = {}  # (num, den) of x -> (q_ratio(x), rotation, inverse rotation)
     for p in points:
         key = p.x.as_integer_ratio()
         if key not in fibers:
-            fibers[key] = (model.q_ratio(p.x), twist.fiber_rotation(p.x), inv.fiber_rotation(p.x))
+            rot = twist.fiber_rotation(p.x)
+            fibers[key] = (model.q_ratio(p.x), rot, rot.inverse())
         rho, rot, back = fibers[key]
         y, z = rot.apply(p.y, p.z)
         if not on_circle(*rho, y, z):
-            failures.append(f"membership broken over x = {p.x}")
+            failures.append(f"membership broken over x = {quote_rat(p.x)}")
             continue
         if back.apply(y, z) != (p.y, p.z):
-            failures.append(f"inverse does not undo the twist over x = {p.x}")
+            failures.append(f"inverse does not undo the twist over x = {quote_rat(p.x)}")
     return TwistReport(not failures, tuple(failures), len(points))

@@ -16,7 +16,9 @@ The pairwise disjointness check and the gap-run walk are the references for
 the boundary walk that IntervalConfig and biconic_interval_image share, the
 walk that hashes its points and arcs is the reference for the one that
 compares neighbours, and the polyline merge is the reference for the
-planner's corners.  The
+planner's corners.  The inverse twist built from the inverted base and the
+negated interpolant is the reference for the conjugate rotation by which
+verify_twist inverts each fiber map.  The
 Geiser reference divides the known root out of the fiber quadratic, branch by
 branch on which coordinate of that root is zero; it and the image reference
 evaluate the biconic forms in Fractions, form by form, and the image
@@ -50,6 +52,7 @@ from conicbundle import (
     Segment,
     SegPath,
     SurfPoint,
+    TwistMap,
     moebius_from_triples,
     parse_rat,
     validate_path,
@@ -597,6 +600,12 @@ def reference_fiber_rotation(twist, x):
     circle parametrization at lambda(x), by Horner's rule."""
     c, s = reference_rotation_from_param(reference_evaluate(twist.lam, x))
     return reference_compose(twist.base, SimpleNamespace(c=c, s=s))
+
+
+def reference_inverse_fiber_rotation(twist, x):
+    """The inverse twist's fiber map at x, built the second way: the inverted
+    base and the negated interpolant, evaluated as a twist of their own."""
+    return TwistMap(twist.base.inverse(), -twist.lam).fiber_rotation(x)
 
 
 def reference_solve_linear(rows, rhs):

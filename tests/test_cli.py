@@ -168,6 +168,26 @@ def test_every_golden_twist_answer_verifies(capsys):
         assert (code, out) == (0, answer["report"]), err
 
 
+@pytest.mark.parametrize("check, module, name, fake", [
+    ("membership broken", twist, "on_circle", lambda *args: False),
+    ("inverse does not undo the twist", twist.Rotation, "inverse", lambda self: self),
+], ids=["membership", "inverse"])
+def test_verification_failure_over_a_long_fiber_is_a_verdict(capsys, monkeypatch, check, module,
+                                                             name, fake):
+    # Every x sampled between the roots 10^5000 and 10^5000 + 1 has more
+    # digits than str() converts; the failure names it cut short, exit 1
+    monkeypatch.setattr(module, name, fake)
+    big = "1" + "0" * 5000
+    code, out, err = invoke(capsys, "verify-twist", {
+        "model": {"roots": [big, big[:-1] + "1"]},
+        "twist": {"base": {"c": "1", "s": "0"}, "lambda": ["1"]}})
+    assert code == 1, err
+    assert (out["passed"], out["reason"]) == (False, "verification-failed")
+    assert out["failures"] and all(
+        message.startswith(f"{check} over x = ") and message.endswith(" characters)")
+        and len(message) < 100 for message in out["failures"]), out
+
+
 def test_geiser_twice_returns_every_golden_point(capsys):
     entries = [entry for entry in load("decide") if entry["argv"][0] == "geiser"]
     assert entries

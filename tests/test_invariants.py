@@ -16,7 +16,8 @@ corpus builds no more Fractions per subcommand than its ceiling, and the
 decisions build them only to decode a rational token.  It builds no more
 values (errors.Value constructions) per subcommand than their ceiling either,
 nor per class in the P^1 decisions, whose witness search builds a value only
-for the maps it yields.
+for the maps it yields.  verify-twist evaluates the interpolant once per
+distinct sampled fiber, and inverts each fiber map by its conjugate.
 """
 
 import ast
@@ -30,6 +31,7 @@ import conicbundle
 from conicbundle import Rotation, SurfPoint, on_surface, rotation_from_param
 from conicbundle import twist as tw
 from conicbundle.errors import Value
+from conicbundle.polynomial import RatPoly
 
 import support
 from golden_replay import WORKLOADS, load, replay
@@ -301,3 +303,29 @@ def test_value_census_stays_under_its_ceilings(monkeypatch):
             for c in P1_VALUE_CEILINGS for name, n in made[c].items()
             if n > P1_VALUE_CEILINGS[c].get(name, 0)}
     assert not over, f"(built, ceiling) past the ceiling per class: {over}"
+
+
+def test_verify_twist_evaluates_lambda_once_per_sampled_fiber(monkeypatch):
+    # RatPoly.ratio_at calls over the golden verify-twist requests against
+    # the distinct x that verify_twist samples: 253 each over the corpus
+    requests = [entry for workload in WORKLOADS for entry in load(workload)
+                if entry["argv"][0] == "verify-twist"]
+    counts = Counter()
+    ratio_at, sample = RatPoly.ratio_at, tw.sample_surface_points
+
+    def counting(self, *args, **kwargs):
+        counts["ratio_at"] += 1
+        return ratio_at(self, *args, **kwargs)
+
+    def sampling(model):
+        points = sample(model)
+        counts["fibers"] += len({p.x for p in points})
+        return points
+
+    monkeypatch.setattr(RatPoly, "ratio_at", counting)
+    monkeypatch.setattr(tw, "sample_surface_points", sampling)
+    for entry in requests:
+        replay(entry["argv"], entry["stdin"])
+    monkeypatch.undo()
+    assert counts["fibers"] > len(requests) > 0, counts
+    assert counts["ratio_at"] == counts["fibers"], counts

@@ -1,5 +1,6 @@
 """Twisting maps: rotations, charts, interpolation, synthesis, verification."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +18,6 @@ from conicbundle import (
     chart_param,
     choose_base_rotation,
     interpolate,
-    inverse_twist,
     on_surface,
     rotation_from_param,
     synthesize_twist,
@@ -45,6 +45,7 @@ from conicbundle.twist import (
 )
 
 import support
+from golden_replay import WORKLOADS, load
 
 QUARTER = Rotation(Fraction(0), Fraction(1))
 HALF = Rotation(Fraction(-1), Fraction(0))
@@ -1063,7 +1064,7 @@ def test_synthesized_twists_meet_every_constraint():
     assert min(met.values()) >= 150, met
 
 
-def test_inverse_twist_composes_to_identity():
+def test_conjugate_rotation_undoes_the_twist():
     rng = random.Random(21)
     model = ConicModel((-2, -1, 1, 2))
     points = sample_surface_points(model)
@@ -1072,11 +1073,69 @@ def test_inverse_twist_composes_to_identity():
     for _ in range(15):
         lam = RatPoly(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)))
         twist = TwistMap(SPIN35, lam)
-        inv = inverse_twist(twist)
         for p in points:
-            assert apply_twist(model, inv, apply_twist(model, twist, p)) == p
+            q = apply_twist(model, twist, p)
+            back = twist.fiber_rotation(q.x).inverse()
+            assert SurfPoint(q.x, *back.apply(q.y, q.z)) == p
             checked += 1
     assert checked >= 100
+
+
+def assert_conjugate_inverts(twist, xs):
+    """Check each x; the number of them where the fiber map is the half turn i."""
+    halves = 0
+    for x in xs:
+        rot = twist.fiber_rotation(x)
+        assert rot.inverse() == support.reference_inverse_fiber_rotation(twist, x)
+        halves += rot.q == 0
+    return halves
+
+
+def test_conjugate_is_the_inverse_twists_fiber_map_on_golden_twists():
+    # every twist a golden twist request answers and every verify-twist twist
+    entries = [entry for workload in WORKLOADS for entry in load(workload)
+               if entry["argv"][0] in ("twist", "verify-twist")]
+    checked = Counter()
+    for entry in entries:
+        command, request = entry["argv"][0], json.loads(entry["stdin"])
+        source = json.loads(entry["stdout"]) if command == "twist" else request
+        xs = {p.x for p in sample_surface_points(cli._model(request["model"], "model"))}
+        assert_conjugate_inverts(cli._twist(source["twist"], "twist"), xs)
+        checked[command] += len(xs)
+    assert min(checked["twist"], checked["verify-twist"]) >= 200, checked
+
+
+INVERSE_BASES = (Rotation.identity(), HALF, SPIN35, Rotation(Fraction(-3, 5), Fraction(4, 5)),
+                 Rotation(Fraction(-3, 5), Fraction(-4, 5)))
+
+
+def test_conjugate_is_the_inverse_twists_fiber_map_on_seeded_twists():
+    # bases with either sign of each entry, the half turn among them; lambda
+    # of degree 0-12 and height up to 10^6; x at roots, at sampled fibers and
+    # at random rationals of the same heights.  Among the fiber maps are half
+    # turns i, which primitive reaches from both i and -i.
+    rng = random.Random(32)
+
+    def rat(height):
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+    models = [support.random_model(rng, r) for r in (1, 1, 2, 2, 3, 3)]
+    samples = [sorted({p.x for p in sample_surface_points(model)}) for model in models]
+    seen = Counter()
+    for k in range(250):
+        base, height = INVERSE_BASES[k % 5], rng.choice((1, 10, 10 ** 3, 10 ** 6))
+        degree, m = rng.randint(0, 12), rng.randrange(len(models))
+        twist = TwistMap(base, RatPoly(tuple(rat(height) for _ in range(degree + 1))))
+        randoms = [rat(height) for _ in range(4)]
+        halves = assert_conjugate_inverts(twist, [*models[m].roots, *samples[m], *randoms])
+        seen.update({("base", base): 1, ("degree", degree): 1, ("height", height): 1,
+                     "roots": len(models[m].roots), "samples": len(samples[m]),
+                     "randoms": len(randoms), "half turns": halves})
+    assert min(seen["base", base] for base in INVERSE_BASES) == 50
+    assert min(seen["degree", degree] for degree in range(13)) >= 5, seen
+    assert seen["height", 10 ** 6] >= 40, seen
+    assert min(seen["roots"], seen["samples"], seen["randoms"]) >= 200, seen
+    assert seen["half turns"] >= 20, seen
 
 
 def test_twist_json_roundtrip():
