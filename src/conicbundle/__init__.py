@@ -15,9 +15,8 @@ CLI process loads only the modules its subcommand runs.
 import importlib
 
 _EXPORTS = {
-    "conic_model": """ConicModel MarkedModel SurfPoint VeryTransitiveVerdict component_index
-        decide_birational decide_marked_iso decide_very_transitive on_surface
-        very_transitive_verdict""",
+    "conic_model": """ConicModel MarkedModel SurfPoint VeryTransitiveVerdict decide_birational
+        decide_marked_iso decide_very_transitive on_surface very_transitive_verdict""",
     "delpezzo": """BiconicModel BinQuadForm BiPoint biconic_from_config biconic_interval_image
         distinct_foliations_witness fiber_points geiser on_biconic second_fibration""",
     "errors": "ConicBundleError",

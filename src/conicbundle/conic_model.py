@@ -9,6 +9,7 @@ surface once marked points are blown up).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Optional
 
@@ -91,16 +92,6 @@ def interval_image(model: ConicModel) -> IntervalConfig:
     return IntervalConfig.from_rat_pairs(zip(model.roots[::2], model.roots[1::2]))
 
 
-def component_index(model: ConicModel, p: SurfPoint) -> int:
-    """1-based index of the interval [a_{2i-1}, a_{2i}] containing x."""
-    if not on_surface(model, p):
-        raise NotOnSurface(f"{quote_rats(p.x, p.y, p.z)} is not on the surface")
-    for i in range(model.r):
-        if model.roots[2 * i] <= p.x <= model.roots[2 * i + 1]:
-            return i + 1
-    raise NotOnSurface("surface point outside every interval")  # unreachable
-
-
 class MarkedModel(Value):
     """A model plus distinct real points recording blow-up centres."""
 
@@ -116,9 +107,11 @@ class MarkedModel(Value):
         super().__init__(model, marks)
 
     def mark_counts(self) -> tuple:
+        # a mark has Q(x) >= 0, so x lies in some [a_2i, a_2i+1] (0-based),
+        # and the first root at or past x is a_2i or a_2i+1
         counts = [0] * self.model.r
         for p in self.marks:
-            counts[component_index(self.model, p) - 1] += 1
+            counts[bisect_left(self.model.roots, p.x) // 2] += 1
         return tuple(counts)
 
 

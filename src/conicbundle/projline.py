@@ -468,43 +468,21 @@ class IntervalConfig(Value):
         return "IntervalConfig(" + ", ".join(map(repr, self.intervals)) + ")"
 
 
-def _arc_ends(config: IntervalConfig) -> dict:
-    """{(start, end): i} over the arcs of config, each end an integer pair."""
-    return {((arc.start.u0, arc.start.u1), (arc.end.u0, arc.end.u1)): i
-            for i, arc in enumerate(config.intervals)}
-
-
-def _match_intervals(m: Moebius, ends: Iterable, index: dict) -> Optional[tuple]:
-    """Permutation nu with m sending the i-th arc of ends onto the arc that
-    index numbers nu[i], or None; _arc_ends gives both.  An image arc runs
-    from m(start) to m(end), reversed when m reverses orientation, so equal
-    ends mean equal arcs, and no point or arc is built."""
-    a, b, c, d = m.a, m.b, m.c, m.d
-    flip = a * d < b * c
-    nu = []
-    for (s0, s1), (e0, e1) in ends:
-        s = primitive(a * s0 + b * s1, c * s0 + d * s1)
-        e = primitive(a * e0 + b * e1, c * e0 + d * e1)
-        j = index.get((e, s) if flip else (s, e))
-        if j is None:
-            return None
-        nu.append(j)
-    return tuple(nu)
-
-
-def _dihedral_maps(src: list, dst: list) -> Iterator[Moebius]:
-    """Moebius maps sending the cyclically ordered points src onto dst in order.
+def _dihedral_maps(src: list, dst: list) -> Iterator[tuple]:
+    """(k, sign, targets) for each Moebius map sending the cyclically ordered
+    points src onto dst in order, which maps src[:3] to targets.
 
     A Moebius map is a homeomorphism of the circle P^1(R), so it keeps or
     reverses cyclic order: any map sending the set src onto the set dst sends
     src[i] to dst[(k + sign * i) % n] for one rotation k and one sign.  Each
     of these 2n correspondences fixes the images of src[:3] and hence at most
-    one map m, which is built only when integer cross-ratios show that m
+    one map m, which exists exactly when integer cross-ratios show that m
     sends every remaining point to its place.  The test is exact: the map
     d -> cr(a, b, c, d) sends (a, b, c) to (0, 1, inf), so for every d,
     cr(m(a), m(b), m(c), m(d)) = cr(a, b, c, d), and cr(m(a), m(b), m(c), .)
     is injective.  Rotations come first, then reversals, each in ascending k;
     distinct correspondences have distinct target triples, so no map repeats.
+    No map is built here.
     """
     n, s = len(src), src[:3]
     ratios = [_cross_pair(*s, p) for p in src[3:]]
@@ -513,7 +491,7 @@ def _dihedral_maps(src: list, dst: list) -> Iterator[Moebius]:
             t = [dst[(k + sign * i) % n] for i in range(n)]
             if all(x0 * y1 == x1 * y0 for (x0, x1), (y0, y1)
                    in zip(ratios, (_cross_pair(*t[:3], q) for q in t[3:]))):
-                yield moebius_from_triples(*s, *t[:3])
+                yield k, sign, t[:3]
 
 
 def _equiv_candidates(c1: IntervalConfig, c2: IntervalConfig) -> Iterator[tuple]:
@@ -522,27 +500,36 @@ def _equiv_candidates(c1: IntervalConfig, c2: IntervalConfig) -> Iterator[tuple]
     A witness sends the 2r boundary points of c1 onto those of c2 and keeps
     or reverses their cyclic order, so the candidates are the maps of
     _dihedral_maps on the boundary points, in its order: the first witness
-    is reproducible.  For r = 1 the two boundary points fix no map, so each
-    arc's interior point joins them as a third; every correspondence of
-    three points is dihedral, and the two that match the ends to the ends
-    come out straight first, then swapped.
+    is reproducible.  For r >= 2 an arc takes two neighbouring places of
+    the walk and holds no other boundary point, so its image takes the two
+    image places and is an arc of c2 exactly when those places are one
+    arc's; places alternate between arcs and gaps, so the answer is the
+    same for every arc.  With o = 1 when a walk opens with the end of the
+    arc through infinity and o = 0 otherwise, arc j takes places 2j - o and
+    2j + 1 - o, and place q of c2 belongs to arc ((q + o2) % n) // 2.  A map
+    is built only for a correspondence that keeps arcs on arcs.  For r = 1
+    the two ends fix no map, so each arc's interior point joins them as a
+    third, and the two maps sending ends to ends come out, straight first,
+    then swapped.
     """
     if c1.r != c2.r:
         return
     if c1.r == 0:
         yield Moebius.identity(), ()
         return
-    b1 = c1.boundary_points()
-    b2 = c2.boundary_points()
+    b1, b2 = c1.boundary_points(), c2.boundary_points()
     if c1.r == 1:
-        # interior points differ from the arc ends, so neither triple repeats
-        b1.append(c1.intervals[0].interior_point())
-        b2.append(c2.intervals[0].interior_point())
-    ends, index = _arc_ends(c1), _arc_ends(c2)
-    for m in _dihedral_maps(b1, b2):
-        nu = _match_intervals(m, ends, index)
-        if nu is not None:
-            yield m, nu
+        # interior points differ from the arc ends, so no triple repeats
+        i1, i2 = c1.intervals[0].interior_point(), c2.intervals[0].interior_point()
+        for q1, q2 in (b2, b2[::-1]):
+            yield moebius_from_triples(*b1, i1, q1, q2, i2), (0,)
+        return
+    n = len(b1)
+    o1, o2 = b1[0] != c1.intervals[0].start, b2[0] != c2.intervals[0].start
+    for k, sign, t in _dihedral_maps(b1, b2):
+        nu = tuple([(k + o2 + sign * (2 * j - o1)) % n // 2 for j in range(c1.r)])
+        if (k + o2 + sign * (1 - o1)) % n // 2 == nu[0]:  # arc 0's other place
+            yield moebius_from_triples(*b1[:3], *t), nu
 
 
 def config_equiv(c1: IntervalConfig, c2: IntervalConfig,
@@ -578,11 +565,12 @@ def stabilizer(points: Iterable) -> list:
     """The finite group of Moebius maps preserving a point set of size >= 3.
 
     A stabilizing map keeps or reverses the cyclic order of the set, so it
-    is one of the at most 2n maps _dihedral_maps yields from the set onto
+    is one of the at most 2n maps _dihedral_maps finds from the set onto
     itself.  Those maps fix pairwise different images of the first three
     points, so none repeats and the sort by matrix entries needs no dedupe.
     """
     pts = sorted(set(points), key=_walk_key)
     if len(pts) < 3:
         raise InfiniteStabilizer(f"{len(pts)} points span an infinite stabilizer")
-    return sorted(_dihedral_maps(pts, pts), key=lambda m: (m.a, m.b, m.c, m.d))
+    return sorted((moebius_from_triples(*pts[:3], *t) for _, _, t in _dihedral_maps(pts, pts)),
+                  key=lambda m: (m.a, m.b, m.c, m.d))

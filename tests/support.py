@@ -409,6 +409,15 @@ def model_fibers_with_points(model, want, skip=()):
     return out[:want]
 
 
+def reference_component_index(model, p):
+    """1-based index of the interval [a_{2i-1}, a_{2i}] holding the mark p,
+    by scanning the intervals in turn."""
+    for i in range(model.r):
+        if model.roots[2 * i] <= p.x <= model.roots[2 * i + 1]:
+            return i + 1
+    raise AssertionError(f"{p} lies over no interval")
+
+
 # ---------------------------------------------------------------------------
 # Planner oracle: flood fill on the cut-plus-midpoint grid.
 

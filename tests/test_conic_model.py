@@ -12,7 +12,6 @@ from conicbundle import (
     Moebius,
     ProjPoint,
     SurfPoint,
-    component_index,
     decide_birational,
     decide_marked_iso,
     decide_very_transitive,
@@ -107,19 +106,20 @@ def test_on_surface_examples():
     assert model.q_at(2) == -2
 
 
-# -- component index -----------------------------------------------------------
+# -- component index of a mark, read through mark_counts -------------------------
 
 def test_component_index_examples():
     model = ConicModel((0, 1, 2, 3))
-    assert component_index(model, SurfPoint(0, 0, 0)) == 1
-    assert component_index(model, SurfPoint(2, 0, 0)) == 2
+    assert MarkedModel(model, (SurfPoint(0, 0, 0),)).mark_counts() == (1, 0)
+    assert MarkedModel(model, (SurfPoint(2, 0, 0),)).mark_counts() == (0, 1)
     # Q(5/2) = 15/16 > 0 but is not a sum of two rational squares, so no
     # exact point sits over x = 5/2 itself; sample the interiors through
     # fibers that do carry rational points.
     assert model.q_at(Fraction(5, 2)) == Fraction(15, 16)
     interior = support.model_fibers_with_points(model, 4)
     assert interior
-    assert {component_index(model, p) for p in interior} == {1, 2}
+    counts = MarkedModel(model, tuple(interior)).mark_counts()
+    assert all(counts) and sum(counts) == len(interior)
 
 
 def test_component_index_interior_of_second_interval():
@@ -128,13 +128,38 @@ def test_component_index_interior_of_second_interval():
     inner = [p for p in points if 2 < p.x < 7]
     assert inner, "no rational fiber point found in the second interval"
     for p in inner:
-        assert component_index(model, p) == 2
+        assert MarkedModel(model, (p,)).mark_counts() == (0, 1)
 
 
 def test_component_index_rejects_off_surface():
+    # x = 1/2 lies over the interval, but (1, 1) is off its fiber circle
     model = ConicModel((0, 1))
     with pytest.raises(NotOnSurface):
-        component_index(model, SurfPoint(Fraction(1, 2), 1, 1))
+        MarkedModel(model, (SurfPoint(Fraction(1, 2), 1, 1),))
+
+
+def test_component_index_matches_the_interval_scan():
+    # marks at both ends of every interval, on rational fiber points and on
+    # spun copies of those points, against the interval scan
+    rng = random.Random(331)
+    checked = 0
+    for r in (1, 2, 3, 4):
+        for trial in range(6):
+            model = (support.random_model(rng, r) if trial % 2
+                     else support.config_model(support.random_config(rng, r, -12, 12)))
+            marks = [SurfPoint(a, 0, 0) for a in model.roots]
+            for p in support.model_fibers_with_points(model, 2 * r):
+                c, s = support.reference_rotation_from_param(
+                    Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                marks += [p, SurfPoint(p.x, c * p.y - s * p.z, s * p.y + c * p.z)]
+            marks = list(dict.fromkeys(marks))
+            rng.shuffle(marks)
+            expected = [0] * r
+            for p in marks:
+                expected[support.reference_component_index(model, p) - 1] += 1
+            assert MarkedModel(model, tuple(marks)).mark_counts() == tuple(expected), model
+            checked += len(marks)
+    assert checked >= 200, checked
 
 
 # -- marked models and topology types ------------------------------------------

@@ -266,17 +266,18 @@ VALUE_CEILINGS = {
     "selftest": 1114,
 }
 # The P^1 decisions by class: the witness search builds one Moebius per map
-# that passes the cross-ratio filter, and no point or arc to match arcs; the
-# points and arcs counted are the request's and the interval images'.
+# that passes the cross-ratio filter and keeps arcs on arcs, and no point or
+# arc to match arcs; the points and arcs counted are the request's and the
+# interval images'.
 P1_VALUE_CEILINGS = {
     "decide-birational": {"ConicModel": 104, "IntervalConfig": 104, "Interval": 342,
                           "ProjPoint": 708, "Moebius": 44},
     "decide-iso": {"ConicModel": 72, "MarkedModel": 72, "SurfPoint": 119, "IntervalConfig": 72,
-                   "Interval": 144, "ProjPoint": 312, "Moebius": 62},
+                   "Interval": 144, "ProjPoint": 312, "Moebius": 50},
     "decide-verytransitive": {"ConicModel": 60, "MarkedModel": 60, "SurfPoint": 147,
                               "IntervalConfig": 60, "Interval": 156, "ProjPoint": 312,
                               "Moebius": 96, "VeryTransitiveVerdict": 60},
-    "realizable-perms": {"IntervalConfig": 50, "Interval": 150, "ProjPoint": 324, "Moebius": 222},
+    "realizable-perms": {"IntervalConfig": 50, "Interval": 150, "ProjPoint": 324, "Moebius": 174},
     "stabilizer": {"ProjPoint": 186, "Moebius": 232},
 }
 

@@ -756,10 +756,18 @@ def _dihedral_cases():
     return cases
 
 
+def _built(src, dst):
+    """The maps of _dihedral_maps, each built from its target triple."""
+    return [moebius_from_triples(*src[:3], *t) for _, _, t in _dihedral_maps(src, dst)]
+
+
 def test_dihedral_maps_match_the_map_building_reference():
     equivalent = 0
     for src, dst, known in _dihedral_cases():
-        maps = list(_dihedral_maps(src, dst))
+        n = len(src)
+        for k, sign, t in _dihedral_maps(src, dst):
+            assert t == [dst[(k + sign * i) % n] for i in range(3)], (src, dst, k, sign)
+        maps = _built(src, dst)
         assert maps == list(support.reference_dihedral_maps(src, dst))
         assert not known or maps
         equivalent += bool(maps)
@@ -774,32 +782,39 @@ def _paired(points, shift):
     return IntervalConfig(tuple(Interval(walk[i], walk[i + 1]) for i in range(0, len(walk), 2)))
 
 
-def test_match_intervals_matches_the_reference_on_every_candidate():
-    # Every one of the 2n correspondences of each even case, the ones the
-    # cross-ratio filter drops included, as a map between the configs that
-    # pair neighbouring points on each side, matched on integer end pairs
-    # and by building each image arc.
-    matched = candidates = 0
+def _paired_cases():
+    """(c1, c2) from each dihedral case with an even number of points, and
+    single arcs from the first two points of every case: source and target
+    each paired at walk shift 0 and at shift 1."""
     for src, dst, _ in _dihedral_cases():
-        if len(src) % 2:
-            continue
-        c1 = _paired(src, 0)
-        b1, n = c1.boundary_points(), len(src)
-        for shift in (0, 1):
-            c2 = _paired(dst, shift)
-            b2 = c2.boundary_points()
-            ends, index = projline._arc_ends(c1), projline._arc_ends(c2)
-            for sign in (1, -1):
-                for k in range(n):
-                    m = moebius_from_triples(*b1[:3], *(b2[(k + sign * i) % n] for i in range(3)))
-                    nu = projline._match_intervals(m, ends, index)
-                    assert nu == support.reference_match_intervals(m, c1, c2), (c1, c2, m)
-                    matched += nu is not None
-                    candidates += 1
-    assert matched >= 100 and candidates - matched >= 1000, (matched, candidates)
+        sides = [(src[:2], dst[:2])] + ([(src, dst)] if len(src) % 2 == 0 else [])
+        for a, b in sides:
+            for s1 in (0, 1):
+                for s2 in (0, 1):
+                    yield _paired(a, s1), _paired(b, s2)
 
 
-def test_dihedral_maps_build_one_map_per_yielded_map(monkeypatch):
+def test_equiv_candidates_match_the_reference_stream():
+    # The maps of the reference dihedral search, each kept when building
+    # every image arc finds it among the target's arcs; for r = 1 each
+    # arc's interior point joins its ends as a third point.
+    seen = Counter()
+    for c1, c2 in _paired_cases():
+        b1, b2 = c1.boundary_points(), c2.boundary_points()
+        if c1.r == 1:
+            b1.append(support.reference_interior_point(c1.intervals[0]))
+            b2.append(support.reference_interior_point(c2.intervals[0]))
+        got = list(projline._equiv_candidates(c1, c2))
+        assert got == [(m, nu) for m in support.reference_dihedral_maps(b1, b2)
+                       if (nu := support.reference_match_intervals(m, c1, c2))], (c1, c2)
+        wraps = tuple(c.boundary_points()[0] != c.intervals[0].start for c in (c1, c2))
+        seen[c1.r > 1, wraps, bool(got)] += 1
+    # every wrap on either side, with and without a witness; a single arc
+    # always has one
+    assert len(seen) == 12 and min(seen.values()) >= 15, seen
+
+
+def test_witness_searches_build_one_map_per_map_returned(monkeypatch):
     built = []
 
     def counting(*triples):
@@ -807,14 +822,16 @@ def test_dihedral_maps_build_one_map_per_yielded_map(monkeypatch):
         return moebius_from_triples(*triples)
 
     monkeypatch.setattr(projline, "moebius_from_triples", counting)
-    yielded = 0
-    for src, dst, _ in _dihedral_cases():
-        yielded += len(list(_dihedral_maps(src, dst)))
-    assert 0 < yielded == len(built)
+    returned = 0
+    for c1, c2 in _paired_cases():
+        returned += len(list(projline._equiv_candidates(c1, c2)))
+    for src, _, _ in _dihedral_cases():
+        returned += len(stabilizer(src))
+    assert 0 < returned == len(built)
 
 
 def test_stabilizer_maps_are_distinct_and_in_matrix_order():
-    # _dihedral_maps never yields a map twice, so stabilizer sorts without
+    # _dihedral_maps never finds a map twice, so stabilizer sorts without
     # a dedupe; the symmetric fixtures above and every dihedral case.
     cases = [[ZERO, ONE, INF], [pt(0), pt(1), pt(2), pt(5)], [pt(-1), pt(0), pt(1), INF]]
     cases += [src for src, _, _ in _dihedral_cases()]
@@ -825,7 +842,7 @@ def test_stabilizer_maps_are_distinct_and_in_matrix_order():
         symmetric += len(keys) > 1
     assert symmetric >= 20
     for src, dst, _ in _dihedral_cases():
-        maps = list(_dihedral_maps(src, dst))
+        maps = _built(src, dst)
         assert len(set(maps)) == len(maps)
 
 
